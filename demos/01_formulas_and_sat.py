@@ -6,7 +6,7 @@ queries the CDCL engine directly.
 """
 
 from musprune import (CnfFormula, clause_stats, is_satisfiable, parse_dimacs,
-                      pure_literal_elimination, solve, write_dimacs)
+                      solve, write_dimacs)
 
 # The running example: four clauses over two variables. It is
 # unsatisfiable because (1) and (-1) already conflict.
@@ -34,8 +34,3 @@ assert parse_dimacs(text) == f1
 stats = clause_stats(f1)
 print("lengths:", stats.clause_length_histogram,
       "ratio:", stats.clause_to_variable_ratio)
-
-# Pure-literal elimination removes clauses whose literal has no negation
-# anywhere; here literal 2 appears only positively in (1, 2).
-reduced = pure_literal_elimination(CnfFormula(2, [[1], [-1], [2, 1]]))
-print("after pure-literal elimination:", reduced.clauses)

@@ -5,8 +5,8 @@ single clause is removed. The running example has exactly two MUSes,
 {0,1} and {1,2,3}, overlapping in clause 1.
 """
 
-from musprune import (CnfFormula, brute_force_muses, critical_clauses,
-                      enumerate_marco, is_mus, shrink)
+from musprune import (CnfFormula, brute_force_muses, enumerate_marco, is_mus,
+                      shrink)
 
 f1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 
@@ -18,10 +18,6 @@ print("is {0,1,2} a MUS?", is_mus(f1, {0, 1, 2}))     # False: not minimal
 # on the second MUS because clause 0 can be dropped first.
 record = shrink(f1, {0, 1, 2, 3})
 print("shrink(full) ->", record.sorted_indices())
-
-# A clause is critical for an UNSAT subset when removing it makes the
-# subset satisfiable. Clause 1 = (-1) sits in both MUSes.
-print("critical in full set:", critical_clauses(f1, {0, 1, 2, 3}))
 
 # The brute-force oracle enumerates all subsets (small formulas only).
 oracle = brute_force_muses(f1)

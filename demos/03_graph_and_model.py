@@ -8,9 +8,9 @@ features and emits one prune probability per clause.
 
 import numpy as np
 
-from musprune import (CnfFormula, build_lcg, dump_edge_list, forward,
-                      init_params, make_input_features, recover_formula,
-                      sample_mask, log_prob, ModelConfig)
+from musprune import (CnfFormula, build_lcg, forward, init_params,
+                      make_input_features, recover_formula, sample_mask,
+                      score_clauses, log_prob, ModelConfig)
 
 f1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 graph = build_lcg(f1)
@@ -18,7 +18,8 @@ print(f"nodes: {graph.num_nodes} ({graph.num_literal_nodes} literal, "
       f"{graph.num_clause_nodes} clause)")
 print(f"membership edges: {len(graph.membership_edges)}, "
       f"negation edges: {len(graph.negation_edges)}")
-print(dump_edge_list(graph))
+print("membership edges [literal node, clause node]:",
+      graph.membership_edges.tolist())
 
 # The conversion is lossless.
 assert recover_formula(graph) == f1
@@ -35,6 +36,10 @@ print("feature matrix:", features.shape)
 params = init_params(config, seed=0)
 mu = forward(params, graph, features)
 print("prune scores:", np.round(mu, 4))
+
+# score_clauses runs the same three steps (graph, features, forward) in
+# one call; the pruners, training evaluation and the CLI all use it.
+assert np.array_equal(score_clauses(params, f1, seed=0), mu)
 
 # Masks sample each clause independently: kept with probability 1 - mu.
 mask, lp = sample_mask(mu, seed=1)

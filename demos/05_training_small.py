@@ -10,9 +10,9 @@ full desk-scale version (5000 formulas).
 
 import numpy as np
 
-from musprune import (ModelConfig, SatEngine, TrainConfig, build_lcg,
-                      evaluate_loss, forward, gen_sr_random, init_params,
-                      make_input_features, threshold_prune, train)
+from musprune import (ModelConfig, SatEngine, TrainConfig, evaluate_loss,
+                      gen_sr_random, init_params, score_clauses,
+                      threshold_prune, train)
 
 engine = SatEngine()
 rng = np.random.default_rng(0)
@@ -39,9 +39,7 @@ print("eval loss of returned checkpoint:",
 # What the trained model actually does at test time:
 kept = []
 for j, f in enumerate(held_out):
-    graph = build_lcg(f)
-    x = make_input_features(graph, best.config.random_feature_dim, j)
-    out = threshold_prune(f, forward(best, graph, x), 10, SatEngine())
+    out = threshold_prune(f, score_clauses(best, f, j), 10, SatEngine())
     kept.append(out.kept_fraction)
 print(f"mean kept fraction on held-out instances: {np.mean(kept):.2f} "
       f"(1.0 would mean no pruning)")

@@ -5,20 +5,19 @@ from a message-passing model -> binary-search threshold pruning -> MUS
 enumeration on the smaller, still-unsatisfiable formula.
 """
 
-from .cnf import (CnfFormula, DimacsFormatError, FormulaStats,
-                  aggregate_stats, clause_stats, parse_dimacs, prune_clauses,
-                  pure_literal_elimination, variables_in_use, write_dimacs)
+from .cnf import (CnfFormula, DimacsFormatError, FormulaStats, clause_stats,
+                  parse_dimacs, prune_clauses, write_dimacs)
 from .generators import (GenSpec, coloring_encoding, emit_corpus,
                          gen_graph_coloring, gen_sr_random, gen_stat_matched,
                          generate)
-from .lcg import (LiteralClauseGraph, build_lcg, dump_edge_list,
-                  make_input_features, recover_formula)
+from .lcg import (LiteralClauseGraph, build_lcg, make_input_features,
+                  recover_formula)
 from .model import (ModelConfig, ModelParams, forward, grad_log_prob,
                     init_params, load_checkpoint, log_prob, sample_mask,
-                    save_checkpoint)
+                    save_checkpoint, score_clauses)
 from .mus import (EnumerationTrace, MusRecord, brute_force_muses,
-                  critical_clauses, enumerate_marco, is_mus, lift_muses,
-                  shrink, truth_table_satisfiable)
+                  enumerate_marco, is_mus, lift_muses, shrink,
+                  truth_table_satisfiable)
 from .pruning import (PruneOutcome, clause_length_prune, none_prune,
                       random_prune, threshold_prune, variable_frequency_prune)
 from .sat import (SAT, UNKNOWN, UNSAT, BudgetExceeded, SatEngine, SatResult,

@@ -16,23 +16,20 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .cnf import CnfFormula, parse_dimacs, write_dimacs
-from .lcg import build_lcg, make_input_features
-from .model import forward, load_checkpoint
+from .model import load_checkpoint, score_clauses
 from .mus import EnumerationTrace, MusRecord, enumerate_marco, is_mus, lift_muses
 from .pruning import (PruneOutcome, clause_length_prune, none_prune,
                       random_prune, threshold_prune, variable_frequency_prune)
 from .sat import SatEngine
-
-WORKERS_ENV = "MUSPRUNE_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,6 @@ class BenchConfig:
     repetitions: int = 1
     seed: int = 0
     audit_sample: int = 3          # lifted MUSes audited per run
-    workers: int = 0               # 0 = take from env, else serial
 
     def __post_init__(self):
         if not self.problems:
@@ -138,10 +134,7 @@ def make_pruner(spec: PrunerSpec):
 
         def model_pruner(formula, engine, seed):
             start = time.perf_counter()
-            graph = build_lcg(formula)
-            features = make_input_features(
-                graph, params.config.random_feature_dim, seed)
-            scores = forward(params, graph, features)
+            scores = score_clauses(params, formula, seed)
             outcome = threshold_prune(formula, scores, spec.k, engine)
             outcome.wall_time = time.perf_counter() - start
             return outcome
@@ -170,7 +163,8 @@ def _external_enumerator(command_template: str):
     The command template receives {dimacs} (input path) and {budget}
     (seconds). Output lines consisting solely of whitespace-separated
     nonnegative integers are read as one MUS each (0-based clause indices
-    into the input); all other lines are ignored.
+    into the input); all other lines are ignored. The command runs in its
+    own session, so a timeout kills it together with any children.
     """
 
     def run(formula: CnfFormula, budget: float) -> EnumerationTrace:
@@ -181,16 +175,17 @@ def _external_enumerator(command_template: str):
             path = fh.name
         try:
             cmd = command_template.format(dimacs=path, budget=budget)
-            try:
-                proc = subprocess.run(
-                    cmd, shell=True, capture_output=True, text=True,
-                    timeout=budget + 5.0)
-                finished = proc.returncode == 0
-                output = proc.stdout
-            except subprocess.TimeoutExpired as exc:
-                finished = False
-                output = exc.stdout.decode() if isinstance(exc.stdout, bytes) \
-                    else (exc.stdout or "")
+            with subprocess.Popen(
+                    cmd, shell=True, stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL, text=True,
+                    start_new_session=True) as proc:
+                try:
+                    output, _ = proc.communicate(timeout=budget + 5.0)
+                except subprocess.TimeoutExpired:
+                    # The unreaped shell keeps its process group alive.
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    output, _ = proc.communicate()
+            finished = proc.returncode == 0
             elapsed = time.perf_counter() - start
             muses = []
             for line in output.splitlines():
@@ -285,9 +280,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
 
     Scheduling is deterministic given the seed; per-run seeds derive from
     (seed, problem, pruner, budget, repetition) indices. SAT problems are
-    skipped with a reason. Worker count comes from config.workers or the
-    MUSPRUNE_WORKERS environment variable (default 1; results are
-    assembled in task order either way).
+    skipped with a reason. Runs are serial: every run gets the whole
+    budget of one interpreter.
     """
     problems: list[tuple[str, CnfFormula | None, str]] = []
     screen_engine = SatEngine()
@@ -302,7 +296,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     pruner_fns = [(spec.label(), make_pruner(spec)) for spec in config.pruners]
     enumerator = make_enumerator(config.enumerator)
 
-    tasks = []
+    records = []
     for pi, (path, formula, skip_reason) in enumerate(problems):
         for si, (label, fn) in enumerate(pruner_fns):
             for bi, budget in enumerate(config.budgets):
@@ -310,29 +304,19 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                     run_seed = int(np.random.SeedSequence(
                         entropy=(config.seed, pi, si, bi, rep)
                     ).generate_state(1)[0])
-                    tasks.append((path, formula, skip_reason, label, fn,
-                                  budget, rep, run_seed))
-
-    def execute(task) -> RunRecord:
-        path, formula, skip_reason, label, fn, budget, rep, run_seed = task
-        if formula is None:
-            return RunRecord(problem=path, pruner=label, budget=budget,
-                             repetition=rep, status="skipped",
-                             reason=skip_reason, seed=run_seed)
-        record = run_pipeline(formula, fn, enumerator, budget,
-                              seed=run_seed, engine=SatEngine(),
-                              audit_sample=config.audit_sample)
-        record.problem = path
-        record.pruner = label
-        record.repetition = rep
-        return record
-
-    workers = config.workers or int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(execute, tasks))
-    else:
-        records = [execute(t) for t in tasks]
+                    if formula is None:
+                        records.append(RunRecord(
+                            problem=path, pruner=label, budget=budget,
+                            repetition=rep, status="skipped",
+                            reason=skip_reason, seed=run_seed))
+                        continue
+                    record = run_pipeline(formula, fn, enumerator, budget,
+                                          seed=run_seed, engine=SatEngine(),
+                                          audit_sample=config.audit_sample)
+                    record.problem = path
+                    record.pruner = label
+                    record.repetition = rep
+                    records.append(record)
     return BenchReport(config=config, records=records,
                        aggregates=_aggregate(records))
 
@@ -370,27 +354,6 @@ def aggregates_to_csv(report: BenchReport) -> str:
         d["repetition"] = "all" if row.repetition is None else row.repetition
         writer.writerow(d)
     return buf.getvalue()
-
-
-def parse_records_csv(text: str) -> list[RunRecord]:
-    records = []
-    for row in csv.DictReader(io.StringIO(text)):
-        records.append(RunRecord(
-            problem=row["problem"], pruner=row["pruner"],
-            budget=float(row["budget"]), repetition=int(row["repetition"]),
-            status=row["status"], reason=row["reason"],
-            mus_count=int(row["mus_count"]),
-            kept_fraction=float(row["kept_fraction"]),
-            prune_sat_calls=int(row["prune_sat_calls"]),
-            prune_time=float(row["prune_time"]),
-            enum_time=float(row["enum_time"]),
-            seeds_tested=int(row["seeds_tested"]),
-            exhausted=row["exhausted"] == "True",
-            audit_checked=int(row["audit_checked"]),
-            audit_ok=row["audit_ok"] == "True",
-            seed=int(row["seed"]),
-        ))
-    return records
 
 
 def report_to_json(report: BenchReport) -> str:

@@ -10,20 +10,17 @@ on success, 1 on contract violations, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import json
 import os
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
-from .cnf import parse_dimacs, write_dimacs
+from .cnf import clause_stats, parse_dimacs, write_dimacs
 from .generators import GenSpec, emit_corpus
-from .lcg import build_lcg, make_input_features
-from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from .mus import enumerate_marco, is_mus, lift_muses
-from .pruning import clause_length_prune, variable_frequency_prune
+from .model import ModelConfig, init_params, save_checkpoint
+from .mus import enumerate_marco
 from .sat import SatEngine
 from .training import TrainConfig, history_to_csv, train
 
@@ -61,7 +58,6 @@ def _cmd_generate(args) -> int:
     else:
         if not args.target:
             raise CliError("stat_matched needs --target (a DIMACS file)")
-        from .cnf import clause_stats
         target = clause_stats(_read_formula(args.target))
         spec = GenSpec(variant="stat_matched",
                        num_vars=args.min_vars,
@@ -108,33 +104,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _make_scores(formula, args, seed):
-    params = load_checkpoint(args.checkpoint)
-    graph = build_lcg(formula)
-    features = make_input_features(
-        graph, params.config.random_feature_dim, seed)
-    from .model import forward
-    return forward(params, graph, features)
-
-
 def _cmd_prune(args) -> int:
     formula = _read_formula(args.input)
     engine = SatEngine()
     if engine.is_satisfiable(formula):
         raise CliError("input satisfiable: pruning targets UNSAT formulas")
-    if args.method == "model":
-        if not args.checkpoint:
-            raise CliError("--method model requires --checkpoint")
-        scores = _make_scores(formula, args, args.seed)
-        from .pruning import threshold_prune
-        outcome = threshold_prune(formula, scores, args.k, engine)
-    elif args.method == "clause_length":
-        outcome = clause_length_prune(formula, args.steps, engine)
-    elif args.method == "var_freq":
-        outcome = variable_frequency_prune(formula, args.k, engine)
-    else:
-        from .pruning import random_prune
-        outcome = random_prune(formula, args.fraction, args.seed, engine)
+    pruner = bench_mod.make_pruner(bench_mod.PrunerSpec(
+        kind=args.method, checkpoint=args.checkpoint, k=args.k,
+        steps=args.steps, fraction=args.fraction))
+    outcome = pruner(formula, engine, args.seed)
     with open(args.out, "w") as fh:
         fh.write(write_dimacs(outcome.pruned))
     summary = {
@@ -212,16 +190,14 @@ def _cmd_bench(args) -> int:
         repetitions=args.repetitions,
         seed=args.seed,
         audit_sample=args.audit_sample,
-        workers=args.workers,
     )
     report = bench_mod.run_benchmark(config)
     written = bench_mod.emit_report(report, args.formats, args.out)
     if args.scatter and len(config.pruners) > 1:
         rows = bench_mod.scatter_pairs(report)
         path = f"{args.out}.scatter.csv"
-        import csv as _csv
         with open(path, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=[
+            writer = csv.DictWriter(fh, fieldnames=[
                 "problem", "budget", "baseline", "pruner",
                 "baseline_count", "pruned_count"])
             writer.writeheader()
@@ -240,6 +216,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_validate(args) -> int:
     files = _problem_files(args.problems)[: args.limit]
+    specs = [bench_mod.PrunerSpec(kind="clause_length"),
+             bench_mod.PrunerSpec(kind="var_freq")]
+    if args.checkpoint:
+        specs.append(bench_mod.PrunerSpec(kind="model",
+                                          checkpoint=args.checkpoint))
+    pruners = [(spec.label(), bench_mod.make_pruner(spec)) for spec in specs]
     engine = SatEngine()
     failures = []
     for path in files:
@@ -247,39 +229,15 @@ def _cmd_validate(args) -> int:
         if engine.is_satisfiable(formula):
             print(f"{path}: skipped (satisfiable)")
             continue
-        outcomes = [
-            clause_length_prune(formula, 100, engine),
-            variable_frequency_prune(formula, 10, engine),
-        ]
-        if args.checkpoint:
-            params = load_checkpoint(args.checkpoint)
-            graph = build_lcg(formula)
-            features = make_input_features(
-                graph, params.config.random_feature_dim, args.seed)
-            from .model import forward
-            from .pruning import threshold_prune
-            outcomes.append(threshold_prune(
-                formula, forward(params, graph, features), 10, engine))
-        for outcome in outcomes:
-            if outcome.changed and engine.is_satisfiable(outcome.pruned):
-                failures.append(f"{path}: {outcome.method} broke unsatisfiability")
-                continue
-            try:
-                trace = enumerate_marco(outcome.pruned, args.budget,
-                                        engine=engine)
-            except ValueError as exc:
-                failures.append(f"{path}: {outcome.method}: {exc}")
-                continue
-            lifted = lift_muses(trace, outcome.index_map)
-            rng = np.random.default_rng(args.seed)
-            sample = lifted.muses[: args.audit_sample] if len(lifted.muses) <= args.audit_sample else [
-                lifted.muses[i] for i in rng.choice(
-                    len(lifted.muses), size=args.audit_sample, replace=False)]
-            for record in sample:
-                if not is_mus(formula, record.clause_indices, engine=engine):
-                    failures.append(
-                        f"{path}: {outcome.method} lifted MUS "
-                        f"{record.sorted_indices()} is not a MUS of the input")
+        for label, pruner in pruners:
+            record = bench_mod.run_pipeline(
+                formula, pruner, enumerate_marco, args.budget, seed=args.seed,
+                engine=engine, audit_sample=args.audit_sample)
+            if record.status == "enum_error":
+                failures.append(f"{path}: {label}: {record.reason}")
+            elif not record.audit_ok:
+                failures.append(f"{path}: {label}: a lifted MUS is not "
+                                f"a MUS of the input")
         print(f"{path}: ok")
     if failures:
         for line in failures:
@@ -363,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repetitions", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--audit-sample", type=int, default=3)
-    b.add_argument("--workers", type=int, default=0,
-                   help=f"0 = use ${WORKERS_ENV} (default 1)")
     b.add_argument("--formats", nargs="+", default=["csv", "json", "markdown"])
     b.add_argument("--out", required=True, help="output path prefix")
     b.add_argument("--external-command",
@@ -383,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_validate)
 
     return parser
-
-
-WORKERS_ENV = bench_mod.WORKERS_ENV
 
 
 def main(argv=None) -> int:

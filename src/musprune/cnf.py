@@ -148,8 +148,7 @@ def prune_clauses(formula: CnfFormula, mask) -> tuple[CnfFormula, list[int]]:
 
     Returns the pruned formula and an index map: position j of the map holds
     the original index of the j-th kept clause. Variable numbering is
-    preserved (no renumbering); use :func:`variables_in_use` for the
-    occurring-variable set.
+    preserved (no renumbering).
     """
     bits = np.asarray(mask, dtype=bool)
     if bits.ndim != 1 or bits.shape[0] != formula.num_clauses:
@@ -160,27 +159,6 @@ def prune_clauses(formula: CnfFormula, mask) -> tuple[CnfFormula, list[int]]:
     index_map = [j for j in range(formula.num_clauses) if bits[j]]
     pruned = CnfFormula(formula.num_vars, [formula.clauses[j] for j in index_map])
     return pruned, index_map
-
-
-def variables_in_use(formula: CnfFormula) -> set[int]:
-    """Variables occurring in at least one clause."""
-    return {abs(l) for clause in formula.clauses for l in clause}
-
-
-def pure_literal_elimination(formula: CnfFormula) -> CnfFormula:
-    """Remove clauses containing pure literals, to fixpoint.
-
-    A literal is pure when its negation occurs in no remaining clause.
-    The result is satisfiability-equivalent to the input.
-    """
-    clauses = list(formula.clauses)
-    while True:
-        occurring = {l for clause in clauses for l in clause}
-        pure = {l for l in occurring if -l not in occurring}
-        if not pure:
-            break
-        clauses = [c for c in clauses if not any(l in pure for l in c)]
-    return CnfFormula(formula.num_vars, clauses)
 
 
 def clause_stats(formula: CnfFormula) -> FormulaStats:
@@ -194,23 +172,3 @@ def clause_stats(formula: CnfFormula) -> FormulaStats:
         clause_to_variable_ratio=ratio,
     )
 
-
-def aggregate_stats(stats_list) -> FormulaStats:
-    """Clause-weighted merge of per-formula statistics over a corpus."""
-    stats_list = list(stats_list)
-    if not stats_list:
-        return FormulaStats(0, 0, {}, 0.0)
-    hist: Counter = Counter()
-    total_vars = 0
-    total_clauses = 0
-    for s in stats_list:
-        hist.update(s.clause_length_histogram)
-        total_vars += s.num_vars
-        total_clauses += s.num_clauses
-    ratio = total_clauses / total_vars if total_vars else 0.0
-    return FormulaStats(
-        num_vars=total_vars,
-        num_clauses=total_clauses,
-        clause_length_histogram=dict(sorted(hist.items())),
-        clause_to_variable_ratio=ratio,
-    )

@@ -44,16 +44,6 @@ class LiteralClauseGraph:
         x[self.num_literal_nodes:, 1] = 1.0
         return x
 
-    @cached_property
-    def edge_type_onehot(self) -> np.ndarray:
-        """(|E|, 2) one-hot rows: membership edges first, then negation edges."""
-        e1 = len(self.membership_edges)
-        e2 = len(self.negation_edges)
-        x = np.zeros((e1 + e2, 2), dtype=np.float64)
-        x[:e1, 0] = 1.0
-        x[e1:, 1] = 1.0
-        return x
-
 
 def literal_node(lit: int, num_vars: int) -> int:
     """Graph row of a literal: positives first, then negations."""
@@ -107,16 +97,3 @@ def make_input_features(graph: LiteralClauseGraph, d_r: int,
     r = rng.standard_normal((graph.num_nodes, d_r))
     return np.hstack([x_v, r])
 
-
-def dump_edge_list(graph: LiteralClauseGraph) -> str:
-    """Debug dump: one 'node node edge_type' line per edge plus node table."""
-    lines = [f"nodes {graph.num_nodes} literals {graph.num_literal_nodes} "
-             f"clauses {graph.num_clause_nodes}"]
-    for v in range(graph.num_nodes):
-        kind = "literal" if v < graph.num_literal_nodes else "clause"
-        lines.append(f"node {v} {kind}")
-    for a, b in graph.membership_edges:
-        lines.append(f"edge {a} {b} membership")
-    for a, b in graph.negation_edges:
-        lines.append(f"edge {a} {b} negation")
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lcg import LiteralClauseGraph
+from .cnf import CnfFormula
+from .lcg import LiteralClauseGraph, build_lcg, make_input_features
 
 LOG_EPS = 1e-7
 # Damping of neighbor-relation weights at init: sum aggregation over
@@ -166,6 +167,15 @@ def forward(params: ModelParams, graph: LiteralClauseGraph, features) -> np.ndar
     return mu
 
 
+def score_clauses(params: ModelParams, formula: CnfFormula, seed) -> np.ndarray:
+    """Per-clause prune probabilities of a formula: its literal-clause
+    graph, input features whose random columns are drawn from ``seed``,
+    and one forward pass."""
+    graph = build_lcg(formula)
+    features = make_input_features(graph, params.config.random_feature_dim, seed)
+    return forward(params, graph, features)
+
+
 def sample_mask(scores, seed) -> tuple[np.ndarray, float]:
     """Sample a keep mask: clause i is pruned with probability mu_i.
 
@@ -187,6 +197,12 @@ def log_prob(scores, mask) -> float:
         raise ValueError("mask length does not match score length")
     mu_c = np.clip(mu, LOG_EPS, 1.0 - LOG_EPS)
     return float(np.where(keep, np.log1p(-mu_c), np.log(mu_c)).sum())
+
+
+def _score_function_cotangent(mu, keep) -> np.ndarray:
+    """d log p(keep | mu) / d logits; zero where :func:`log_prob` clamps mu."""
+    active = (mu > LOG_EPS) & (mu < 1.0 - LOG_EPS)
+    return np.where(active, ~keep - mu, 0.0)
 
 
 def _backward_from_logits(params: ModelParams, cache, d_logits):
@@ -233,10 +249,8 @@ def grad_log_prob(params: ModelParams, graph: LiteralClauseGraph,
     keep = np.asarray(mask, dtype=bool)
     if keep.shape != mu.shape:
         raise ValueError("mask length does not match clause count")
-    pruned = ~keep
-    active = (mu > LOG_EPS) & (mu < 1.0 - LOG_EPS)
-    d_logits = np.where(active, pruned - mu, 0.0)
-    return _backward_from_logits(params, cache, d_logits)
+    return _backward_from_logits(params, cache,
+                                 _score_function_cotangent(mu, keep))
 
 
 # ----------------------------------------------------------------------

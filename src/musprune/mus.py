@@ -1,6 +1,6 @@
 """Minimal unsatisfiable subset machinery.
 
-Validity checks, deletion-based shrinking, criticality, a MARCO-style
+Validity checks, deletion-based shrinking, a MARCO-style
 online enumerator over a selector-variable map, and a brute-force oracle
 for small instances. The oracle decides satisfiability by bit-parallel
 truth tables and is fully independent of the CDCL engine.
@@ -97,26 +97,12 @@ def shrink(formula: CnfFormula, seed, engine: SatEngine | None = None) -> MusRec
     solver = _SubsetSolver(formula, engine)
     if solver.is_subset_sat(seed):
         raise ValueError("seed subset is satisfiable; nothing to shrink")
-    current = set(seed)
-    for c in sorted(seed):
-        trial = current - {c}
-        if not solver.is_subset_sat(trial):
-            current = trial
-    return MusRecord(frozenset(current))
+    return MusRecord(frozenset(_shrink_in(solver, seed, None)))
 
 
-def critical_clauses(formula: CnfFormula, subset,
-                     engine: SatEngine | None = None) -> set[int]:
-    """Clauses whose removal from an UNSAT subset makes it satisfiable."""
-    subset = _check_indices(formula, subset)
-    solver = _SubsetSolver(formula, engine)
-    if solver.is_subset_sat(subset):
-        raise ValueError("subset is satisfiable; criticality is undefined")
-    return {c for c in sorted(subset) if solver.is_subset_sat(subset - {c})}
-
-
-def _shrink_in(solver: _SubsetSolver, seed: set[int],
+def _shrink_in(solver: _SubsetSolver, seed: set[int] | frozenset[int],
                deadline: float | None) -> set[int] | None:
+    """Deletion shrink of an UNSAT seed; None once ``deadline`` passes."""
     current = set(seed)
     for c in sorted(seed):
         if deadline is not None and time.perf_counter() >= deadline:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .cnf import CnfFormula, prune_clauses
 from .lcg import build_lcg, make_input_features
-from .model import ModelParams, _backward_from_logits, _forward_cached
+from .model import (ModelParams, _backward_from_logits, _forward_cached,
+                    _score_function_cotangent, sample_mask, score_clauses)
 from .pruning import threshold_prune
 from .sat import SatEngine
 
@@ -135,9 +136,7 @@ def reinforce_step(params: ModelParams, batch, engine: SatEngine,
             feat_seed, mask_seed = ss.spawn(2)
             features = make_input_features(graph, cfg.random_feature_dim, feat_seed)
             mu, cache = _forward_cached(params, graph, features)
-            rng = np.random.default_rng(mask_seed)
-            pruned_bits = rng.random(mu.shape[0]) < mu
-            keep = ~pruned_bits
+            keep, _ = sample_mask(mu, mask_seed)
             pruned, _ = prune_clauses(formula, keep)
             sat_status = engine.is_satisfiable(pruned)
             loss = prune_loss(formula, pruned, sat_status)
@@ -147,8 +146,7 @@ def reinforce_step(params: ModelParams, batch, engine: SatEngine,
                 pruned_fracs.append(1.0 - pruned.num_clauses / formula.num_clauses)
             losses.append(loss)
             signal = loss - state.baseline if config.use_baseline else loss
-            active = (mu > 1e-7) & (mu < 1.0 - 1e-7)
-            d_logits = np.where(active, pruned_bits - mu, 0.0) * signal
+            d_logits = _score_function_cotangent(mu, keep) * signal
             grads = _backward_from_logits(params, cache, d_logits)
             for k in total:
                 total[k] += grads[k]
@@ -179,12 +177,9 @@ def evaluate_loss(params: ModelParams, eval_set, engine: SatEngine,
     a model that cannot prune scores exactly 1).
     """
     losses = []
-    cfg = params.config
     for idx, formula in enumerate(eval_set):
-        graph = build_lcg(formula)
-        feat_seed = _formula_rng_seed(seed, _EVAL_STEP, idx, 0)
-        features = make_input_features(graph, cfg.random_feature_dim, feat_seed)
-        mu, _ = _forward_cached(params, graph, features)
+        mu = score_clauses(params, formula,
+                           _formula_rng_seed(seed, _EVAL_STEP, idx, 0))
         outcome = threshold_prune(formula, mu, k, engine)
         losses.append(prune_loss(formula, outcome.pruned, not outcome.unsat))
     return float(np.mean(losses))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import sys
@@ -6,8 +8,8 @@ import numpy as np
 import pytest
 
 from musprune.bench import (BenchConfig, EnumeratorSpec, PrunerSpec,
-                            aggregates_to_csv, make_enumerator, make_pruner,
-                            parse_records_csv, records_to_csv, report_to_json,
+                            RunRecord, aggregates_to_csv, make_enumerator,
+                            make_pruner, records_to_csv, report_to_json,
                             report_to_markdown, run_benchmark, run_pipeline,
                             scatter_pairs, _aggregate)
 from musprune.cnf import CnfFormula, write_dimacs
@@ -162,7 +164,13 @@ class TestReportFormats:
 
     def test_csv_round_trip_preserves_aggregates(self, tmp_path):
         report = self.make_report(tmp_path)
-        parsed = parse_records_csv(records_to_csv(report))
+        parsed = [RunRecord(problem=row["problem"], pruner=row["pruner"],
+                            budget=float(row["budget"]),
+                            repetition=int(row["repetition"]),
+                            status=row["status"],
+                            mus_count=int(row["mus_count"]))
+                  for row in csv.DictReader(io.StringIO(
+                      records_to_csv(report)))]
         re_agg = _aggregate(parsed)
         assert len(re_agg) == len(report.aggregates)
         for a, b in zip(report.aggregates, re_agg):
@@ -230,20 +238,24 @@ class TestExternalEnumerator:
         want = {r.clause_indices for r in brute_force_muses(F1)}
         assert got == want
 
+    def test_timeout_kills_background_children(self, tmp_path):
+        pid_file = tmp_path / "child.pid"
+        spec = EnumeratorSpec(
+            kind="external",
+            command=f"sleep 60 & echo $! > {pid_file}; wait")
+        trace = make_enumerator(spec)(F1, 0.1)
+        assert trace.muses == []
+        assert not trace.exhausted
+        try:
+            with open(f"/proc/{int(pid_file.read_text())}/stat") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            state = "gone"
+        assert state in ("gone", "Z")  # Z: killed, not yet reaped
+
     def test_failing_command_yields_unfinished_trace(self):
         spec = EnumeratorSpec(kind="external", command="false")
         trace = make_enumerator(spec)(F1, 1.0)
         assert trace.muses == []
         assert not trace.exhausted
 
-
-class TestWorkers:
-    def test_thread_pool_matches_serial_counts(self, tmp_path):
-        problems = write_problems(tmp_path, [tiny_unsat(i)
-                                             for i in range(2)])
-        base = BenchConfig(problems=problems, budgets=(5.0,), seed=0)
-        serial = run_benchmark(base)
-        parallel = run_benchmark(BenchConfig(
-            problems=problems, budgets=(5.0,), seed=0, workers=2))
-        assert [r.mus_count for r in serial.records] == \
-               [r.mus_count for r in parallel.records]

@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from musprune import bench
 from musprune.cli import main
 from musprune.cnf import CnfFormula, parse_dimacs, write_dimacs
 from musprune.mus import brute_force_muses
+from musprune.pruning import random_prune, variable_frequency_prune
+from musprune.sat import SatEngine
 
 
 F1_TEXT = "p cnf 2 4\n1 0\n-1 0\n1 2 0\n-2 0\n"
@@ -33,6 +36,14 @@ def problem_dir(tmp_path):
 def read_text(path):
     with open(path) as fh:
         return fh.read()
+
+
+def train_small_model(problem_dir, ckpt):
+    assert main(["train", "--corpus", problem_dir, "--out", str(ckpt),
+                 "--max-formulas", "4", "--batch-size", "2",
+                 "--layers", "2", "--hidden-dim", "8",
+                 "--random-features", "4", "--mlp-hidden-dim", "8",
+                 "--eval-fraction", "0.34"]) == 0
 
 
 class TestEnumerate:
@@ -74,13 +85,25 @@ class TestPrune:
         assert data["unsat"] is True
         assert data["index_map"] == [0, 1, 3]
 
+    @pytest.mark.parametrize("method, direct", [
+        (["--method", "var_freq", "--k", "4"],
+         lambda f: variable_frequency_prune(f, 4, SatEngine())),
+        (["--method", "random", "--fraction", "0.3", "--seed", "5"],
+         lambda f: random_prune(f, 0.3, 5, SatEngine())),
+    ])
+    def test_baseline_matches_direct_call(self, tmp_path, method, direct):
+        from tests.test_bench import tiny_unsat
+        formula = tiny_unsat(4)
+        path = tmp_path / "in.cnf"
+        path.write_text(write_dimacs(formula))
+        out = tmp_path / "pruned.cnf"
+        assert main(["prune", "--input", str(path), "--out", str(out)]
+                    + method) == 0
+        assert read_text(out) == write_dimacs(direct(formula).pruned)
+
     def test_model_prune_round_trip(self, tmp_path, f1_file, problem_dir):
         ckpt = tmp_path / "model.npz"
-        assert main(["train", "--corpus", problem_dir, "--out", str(ckpt),
-                     "--max-formulas", "4", "--batch-size", "2",
-                     "--layers", "2", "--hidden-dim", "8",
-                     "--random-features", "4", "--mlp-hidden-dim", "8",
-                     "--eval-fraction", "0.34"]) == 0
+        train_small_model(problem_dir, ckpt)
         out = tmp_path / "pruned.cnf"
         assert main(["prune", "--input", f1_file, "--method", "model",
                      "--checkpoint", str(ckpt), "--out", str(out)]) == 0
@@ -159,6 +182,21 @@ class TestValidate:
         assert main(["validate", "--problems", problem_dir,
                      "--budget", "5"]) == 0
         assert "all invariants hold" in capsys.readouterr().out
+
+    def test_checkpoint_loaded_once(self, tmp_path, problem_dir, monkeypatch):
+        ckpt = tmp_path / "model.npz"
+        train_small_model(problem_dir, ckpt)
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        load = bench.load_checkpoint
+        monkeypatch.setattr(bench, "load_checkpoint", counting_load)
+        assert main(["validate", "--problems", problem_dir,
+                     "--checkpoint", str(ckpt), "--budget", "5"]) == 0
+        assert len(loads) == 1
 
 
 class TestUsage:

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from musprune.cnf import (CnfFormula, DimacsFormatError, aggregate_stats,
-                          clause_stats, parse_dimacs, prune_clauses,
-                          pure_literal_elimination, variables_in_use,
-                          write_dimacs)
+from musprune.cnf import (CnfFormula, DimacsFormatError, clause_stats,
+                          parse_dimacs, prune_clauses, write_dimacs)
 from musprune.generators import gen_sr_random
-from musprune.mus import truth_table_satisfiable
 
 
 class TestParseDimacs:
@@ -86,7 +83,6 @@ class TestPruneClauses:
         pruned, index_map = prune_clauses(f, [True, True, False])
         assert pruned.clauses == ((1,), (-1,))
         assert index_map == [0, 1]
-        assert variables_in_use(pruned) == {1}
         assert pruned.num_vars == f.num_vars  # numbering preserved
 
     def test_all_true(self):
@@ -122,34 +118,6 @@ class TestPruneClauses:
         assert set(pruned.clauses) <= set(f.clauses)
 
 
-class TestPureLiteralElimination:
-    def test_one_pure_literal(self):
-        f = CnfFormula(2, [[1], [-1], [2, 1]])
-        assert pure_literal_elimination(f).clauses == ((1,), (-1,))
-
-    def test_no_pure_literal(self):
-        f = CnfFormula(1, [[1], [-1]])
-        assert pure_literal_elimination(f) == f
-
-    def test_all_pure(self):
-        f = CnfFormula(2, [[1, 2]])
-        assert pure_literal_elimination(f).num_clauses == 0
-
-    def test_preserves_satisfiability(self):
-        rng = np.random.default_rng(7)
-        for _ in range(60):
-            n = int(rng.integers(1, 8))
-            clauses = []
-            for _ in range(int(rng.integers(1, 14))):
-                k = int(rng.integers(1, min(3, n) + 1))
-                vs = rng.choice(n, size=k, replace=False) + 1
-                signs = rng.integers(0, 2, size=k) * 2 - 1
-                clauses.append([int(v * s) for v, s in zip(vs, signs)])
-            f = CnfFormula(n, clauses)
-            reduced = pure_literal_elimination(f)
-            assert truth_table_satisfiable(f) == truth_table_satisfiable(reduced)
-
-
 class TestClauseStats:
     def test_basic(self):
         s = clause_stats(CnfFormula(2, [[1], [-1], [1, 2]]))
@@ -166,19 +134,6 @@ class TestClauseStats:
             f = gen_sr_random(12, seed=i)
             s = clause_stats(f)
             assert sum(s.clause_length_histogram.values()) == f.num_clauses
-
-    def test_aggregate_is_clause_weighted_merge(self):
-        formulas = [gen_sr_random(8, seed=i) for i in range(6)]
-        agg = aggregate_stats(clause_stats(f) for f in formulas)
-        assert agg.num_clauses == sum(f.num_clauses for f in formulas)
-        assert agg.num_vars == sum(f.num_vars for f in formulas)
-        merged = {}
-        for f in formulas:
-            for length, count in clause_stats(f).clause_length_histogram.items():
-                merged[length] = merged.get(length, 0) + count
-        assert agg.clause_length_histogram == merged
-        assert agg.clause_to_variable_ratio == pytest.approx(
-            agg.num_clauses / agg.num_vars)
 
 
 class TestCnfFormula:

@@ -3,8 +3,8 @@ import pytest
 
 from musprune.cnf import CnfFormula
 from musprune.generators import gen_sr_random
-from musprune.lcg import (build_lcg, dump_edge_list, literal_node,
-                          make_input_features, recover_formula)
+from musprune.lcg import (build_lcg, literal_node, make_input_features,
+                          recover_formula)
 
 F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 
@@ -41,13 +41,6 @@ class TestBuildLcg:
         assert x.shape == (8, 2)
         assert (x.sum(axis=1) == 1).all()
         assert (x[:4, 0] == 1).all() and (x[4:, 1] == 1).all()
-
-    def test_edge_type_onehot(self):
-        g = build_lcg(F1)
-        x = g.edge_type_onehot
-        assert x.shape == (7, 2)
-        assert (x.sum(axis=1) == 1).all()
-        assert (x[:5, 0] == 1).all() and (x[5:, 1] == 1).all()
 
     def test_literal_node_layout(self):
         assert literal_node(1, 3) == 0
@@ -102,13 +95,3 @@ class TestInputFeatures:
     def test_negative_dim_rejected(self):
         with pytest.raises(ValueError):
             make_input_features(build_lcg(F1), -1, 0)
-
-
-class TestDump:
-    def test_dump_mentions_all_edges(self):
-        g = build_lcg(F1)
-        text = dump_edge_list(g)
-        assert text.count("membership") == 5
-        assert text.count("negation") == 2
-        assert "node 0 literal" in text
-        assert "node 4 clause" in text

@@ -6,7 +6,7 @@ from musprune.generators import gen_sr_random
 from musprune.lcg import build_lcg, make_input_features
 from musprune.model import (ModelConfig, grad_log_prob, forward, init_params,
                             load_checkpoint, log_prob, sample_mask,
-                            save_checkpoint)
+                            save_checkpoint, score_clauses)
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8, random_feature_dim=4,
                     mlp_hidden_dim=8)
@@ -106,6 +106,15 @@ class TestForward:
         f, g, p, x = small_setup()
         with pytest.raises(ValueError, match="shape"):
             forward(p, g, x[:-1])
+
+
+class TestScoreClauses:
+    @pytest.mark.parametrize("seed", [
+        7, np.random.SeedSequence(entropy=(0, 2 ** 48, 3, 0))])
+    def test_equals_explicit_chain(self, seed):
+        f, g, p, _ = small_setup()
+        x = make_input_features(g, SMALL.random_feature_dim, seed)
+        assert np.array_equal(score_clauses(p, f, seed), forward(p, g, x))
 
 
 class TestSampling:

@@ -3,8 +3,8 @@ import pytest
 
 from musprune.cnf import CnfFormula
 from musprune.mus import (EnumerationTrace, MusRecord, brute_force_muses,
-                          critical_clauses, enumerate_marco, is_mus,
-                          lift_muses, shrink, truth_table_satisfiable)
+                          enumerate_marco, is_mus, lift_muses, shrink,
+                          truth_table_satisfiable)
 from musprune.sat import SatEngine
 
 F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
@@ -66,28 +66,6 @@ class TestShrink:
             record = shrink(f, seed)
             assert record.clause_indices <= seed
             assert is_mus(f, record.clause_indices)
-
-
-class TestCriticalClauses:
-    def test_mus_is_all_critical(self):
-        assert critical_clauses(F1, {0, 1}) == {0, 1}
-
-    def test_f1_full_set(self):
-        assert critical_clauses(F1, {0, 1, 2, 3}) == {1}
-
-    def test_sat_subset_rejected(self):
-        with pytest.raises(ValueError):
-            critical_clauses(F1, {0, 2})
-
-    def test_definition_by_removal(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            f = random_unsat(rng)
-            full = set(range(f.num_clauses))
-            crit = critical_clauses(f, full)
-            for c in full:
-                without = f.induced(full - {c})
-                assert truth_table_satisfiable(without) == (c in crit)
 
 
 class TestBruteForce:
