@@ -14,8 +14,9 @@ print("is {0,1} a MUS?", is_mus(f1, {0, 1}))          # True
 print("is {0,1,2} a MUS?", is_mus(f1, {0, 1, 2}))     # False: not minimal
 
 # Deletion-based shrinking walks clauses in ascending order and keeps a
-# removal whenever the rest stays UNSAT. From the full formula it lands
-# on the second MUS because clause 0 can be dropped first.
+# removal whenever the rest stays UNSAT, narrowed to the solver's core of
+# that answer. From the full formula it lands on the second MUS because
+# clause 0 can be dropped first.
 record = shrink(f1, {0, 1, 2, 3})
 print("shrink(full) ->", record.sorted_indices())
 

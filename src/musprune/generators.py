@@ -16,6 +16,9 @@ Three families:
 
 The geometric distribution uses the {0, 1, 2, ...} convention with
 P(X = j) = (1-p)^j * p. All generators are deterministic under their seed.
+The clause-by-clause generators skip the SAT query when the last model
+found also satisfies the new clause: the answer is then known to be SAT,
+so the output is the same as with a query per clause.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ def _clause_length(rng, bernoulli_p: float, geometric_p: float) -> int:
     return 2 + bern + geo
 
 
+def _satisfies(model: dict[int, bool] | None, clause) -> bool:
+    """True iff ``model`` (None: no model yet) makes a literal true."""
+    return model is not None and any(model[abs(l)] == (l > 0) for l in clause)
+
+
 def gen_sr_random(n_vars: int, bernoulli_p: float = 0.3,
                   geometric_p: float = 0.3, seed=0,
                   engine: SatEngine | None = None) -> CnfFormula:
@@ -83,13 +91,16 @@ def gen_sr_random(n_vars: int, bernoulli_p: float = 0.3,
     rng = np.random.default_rng(seed)
     session = engine.session(n_vars)
     clauses: list[list[int]] = []
+    model = None
     while True:
         clause = _sample_clause(rng, n_vars,
                                 _clause_length(rng, bernoulli_p, geometric_p))
         session.add_clause(clause)
         clauses.append(clause)
-        if not session.is_sat():
-            return CnfFormula(n_vars, clauses)
+        if not _satisfies(model, clause):
+            model = session.model()
+            if model is None:
+                return CnfFormula(n_vars, clauses)
 
 
 def _lengths_from_histogram(histogram: dict[int, int]):
@@ -123,13 +134,17 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
     session = engine.session(n)
     committed_selectors: list[int] = []
     clauses: list[list[int]] = []
+    model = None  # of the committed clauses
     rejections = 0
     while len(clauses) < lower_bound:
         length = int(rng.choice(lengths, p=probs))
         clause = _sample_clause(rng, n, length)
         selector = session.add_variable()
         session.add_clause(clause + [-selector])
-        if session.is_sat(committed_selectors + [selector]):
+        found = model if _satisfies(model, clause) else session.model(
+            committed_selectors + [selector])
+        if found is not None:
+            model = found
             committed_selectors.append(selector)
             clauses.append(clause)
             rejections = 0
@@ -146,8 +161,10 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
         clause = _sample_clause(rng, n, length)
         session.add_clause(clause)
         clauses.append(clause)
-        if not session.is_sat(committed_selectors):
-            return CnfFormula(n, clauses)
+        if not _satisfies(model, clause):
+            model = session.model(committed_selectors)
+            if model is None:
+                return CnfFormula(n, clauses)
 
 
 def coloring_encoding(n_nodes: int, edges, n_colors: int) -> CnfFormula:

@@ -4,6 +4,11 @@ Validity checks, deletion-based shrinking, a MARCO-style
 online enumerator over a selector-variable map, and a brute-force oracle
 for small instances. The oracle decides satisfiability by bit-parallel
 truth tables and is fully independent of the CDCL engine.
+
+Every subset question goes through one query that returns, for an UNSAT
+subset, the clauses of the solver's assumption core. Shrink keeps only
+that core after each UNSAT answer (clause-set refinement, as in MUSer2),
+so clauses outside a core are dropped without a query of their own.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cnf import CnfFormula
-from .sat import UNSAT, SatEngine, Solver
+from .sat import SAT, UNKNOWN, UNSAT, BudgetExceeded, SatEngine, Solver
 
 BRUTE_FORCE_CLAUSE_LIMIT = 20
 TRUTH_TABLE_VAR_LIMIT = 24
@@ -47,7 +52,8 @@ class _SubsetSolver:
 
     Clause j is guarded by selector variable num_vars+1+j; assuming the
     selector true activates the clause, leaving it free lets the solver
-    disable it.
+    disable it. The assumption core of an UNSAT answer maps back to the
+    clauses it activates.
     """
 
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
@@ -61,9 +67,22 @@ class _SubsetSolver:
     def selector(self, clause_index: int) -> int:
         return self._base + 1 + clause_index
 
-    def is_subset_sat(self, subset) -> bool:
+    def unsat_core(self, subset, deadline: float | None = None) -> set[int] | None:
+        """An UNSAT subset of ``subset``, or None if ``subset`` is SAT.
+
+        Raises BudgetExceeded on the engine's conflict budget or once
+        ``deadline`` (a ``time.perf_counter()`` value) passes.
+        """
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise BudgetExceeded("deadline passed")
         assumptions = [self.selector(j) for j in sorted(subset)]
-        return self._session.is_sat(assumptions)
+        result = self._session.solve(assumptions, deadline)
+        if result.status == UNKNOWN:
+            raise BudgetExceeded("conflict budget or deadline exceeded")
+        if result.status == SAT:
+            return None
+        # No core: the clauses are UNSAT with every selector free.
+        return {s - self._base - 1 for s in result.core or ()}
 
 
 def _check_indices(formula: CnfFormula, subset) -> frozenset[int]:
@@ -79,10 +98,10 @@ def is_mus(formula: CnfFormula, subset, engine: SatEngine | None = None) -> bool
     deletion is SAT (Minimal Unsatisfiable Subset)."""
     subset = _check_indices(formula, subset)
     solver = _SubsetSolver(formula, engine)
-    if solver.is_subset_sat(subset):
+    if solver.unsat_core(subset) is None:
         return False
     for c in sorted(subset):
-        if not solver.is_subset_sat(subset - {c}):
+        if solver.unsat_core(subset - {c}) is not None:
             return False
     return True
 
@@ -90,38 +109,41 @@ def is_mus(formula: CnfFormula, subset, engine: SatEngine | None = None) -> bool
 def shrink(formula: CnfFormula, seed, engine: SatEngine | None = None) -> MusRecord:
     """Deletion-based shrink of an UNSAT seed down to a MUS.
 
-    Clauses are tried in ascending index order; a removal is kept exactly
-    when the remainder stays UNSAT. Raises ValueError if the seed is SAT.
+    See ``_shrink_in``. Raises ValueError if the seed is SAT.
     """
     seed = _check_indices(formula, seed)
     solver = _SubsetSolver(formula, engine)
-    if solver.is_subset_sat(seed):
+    if solver.unsat_core(seed) is None:
         raise ValueError("seed subset is satisfiable; nothing to shrink")
     return MusRecord(frozenset(_shrink_in(solver, seed, None)))
 
 
 def _shrink_in(solver: _SubsetSolver, seed: set[int] | frozenset[int],
-               deadline: float | None) -> set[int] | None:
-    """Deletion shrink of an UNSAT seed; None once ``deadline`` passes."""
+               deadline: float | None) -> set[int]:
+    """Deletion shrink of an UNSAT seed with clause-set refinement.
+
+    Clauses are tried in ascending index order. When the remainder
+    without a clause is UNSAT, the working set becomes that answer's
+    core, which drops the clause and any others outside the core; a
+    clause already dropped is not tried.
+    """
     current = set(seed)
     for c in sorted(seed):
-        if deadline is not None and time.perf_counter() >= deadline:
-            return None
-        trial = current - {c}
-        if not solver.is_subset_sat(trial):
-            current = trial
+        if c not in current:
+            continue
+        core = solver.unsat_core(current - {c}, deadline)
+        if core is not None:
+            current = core
     return current
 
 
 def _grow_in(solver: _SubsetSolver, seed: set[int],
-             deadline: float | None) -> set[int] | None:
+             deadline: float | None) -> set[int]:
     current = set(seed)
     for c in range(solver.num_clauses):
         if c in current:
             continue
-        if deadline is not None and time.perf_counter() >= deadline:
-            return None
-        if solver.is_subset_sat(current | {c}):
+        if solver.unsat_core(current | {c}, deadline) is None:
             current.add(c)
     return current
 
@@ -133,8 +155,10 @@ def enumerate_marco(formula: CnfFormula, budget: float,
     Seeds come from a map solver over one selector per clause, solved with
     true-preferring polarity so seeds are maximal. UNSAT seeds shrink to a
     MUS (supersets then blocked); SAT seeds grow to a maximal satisfiable
-    subset (subsets then blocked). Stops at budget exhaustion or when the
-    map empties, whichever is first.
+    subset (subsets then blocked). An UNSAT seed's shrink starts from the
+    core of the seed's own query. Stops when the map empties or, returning
+    the trace so far, when the budget runs out: every query, the first
+    full UNSAT check included, gets the deadline.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -142,32 +166,34 @@ def enumerate_marco(formula: CnfFormula, budget: float,
     deadline = start + budget
     m = formula.num_clauses
     solver = _SubsetSolver(formula, engine)
-    if solver.is_subset_sat(range(m)):
-        raise ValueError("formula is satisfiable; it has no MUS")
     map_solver = Solver(num_vars=m, default_phase=True)
     trace = EnumerationTrace()
-    while time.perf_counter() < deadline:
-        result = map_solver.solve()
-        if result.status == UNSAT:
-            trace.exhausted = True
-            break
-        seed = {j for j in range(m) if result.model[j + 1]}
-        trace.seeds_tested += 1
-        if solver.is_subset_sat(seed):
-            mss = _grow_in(solver, seed, deadline)
-            if mss is None:
+    try:
+        if solver.unsat_core(range(m), deadline) is None:
+            raise ValueError("formula is satisfiable; it has no MUS")
+        while time.perf_counter() < deadline:
+            result = map_solver.solve(deadline=deadline)
+            if result.status != SAT:
+                trace.exhausted = result.status == UNSAT
                 break
-            map_solver.add_clause([j + 1 for j in range(m) if j not in mss])
-        else:
-            mus_set = _shrink_in(solver, seed, deadline)
-            if mus_set is None:
-                break
+            seed = {j for j in range(m) if result.model[j + 1]}
+            trace.seeds_tested += 1
+            core = solver.unsat_core(seed, deadline)
+            if core is None:
+                mss = _grow_in(solver, seed, deadline)
+                map_solver.add_clause([j + 1 for j in range(m)
+                                       if j not in mss])
+                continue
+            mus_set = _shrink_in(solver, core, deadline)
             record = MusRecord(frozenset(mus_set))
             trace.muses.append(record)
             trace.timestamps.append(time.perf_counter() - start)
             if sink is not None:
                 sink(record)
             map_solver.add_clause([-(j + 1) for j in sorted(mus_set)])
+    except BudgetExceeded:
+        if time.perf_counter() < deadline:
+            raise  # the engine's conflict budget, not the clock
     return trace
 
 

@@ -2,16 +2,21 @@
 
 A compact CDCL solver: unit propagation with two watched literals,
 first-UIP clause learning, VSIDS-style activities with phase saving,
-and restarts on a Luby schedule. Deterministic: ties in branching break
-toward the lowest variable index and there is no randomness anywhere.
+and restarts on a Luby schedule. Decisions come from an indexed binary
+max-heap over activities (MiniSat's order heap), so each costs O(log n).
+Deterministic: ties in branching break toward the lowest variable index
+and there is no randomness anywhere.
 
 Supports assumption literals (forced true for one query), incremental
-clause addition at the root level, and a per-query conflict budget that
-is reported distinctly from SAT/UNSAT.
+clause addition at the root level, and a per-query conflict budget and
+wall-clock deadline, both reported as UNKNOWN, distinct from SAT/UNSAT.
+An UNSAT answer caused by the assumptions carries a core: the
+assumptions the final conflict depends on (MiniSat ``analyzeFinal``).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .cnf import CnfFormula
@@ -25,7 +30,8 @@ _ACTIVITY_RESCALE = 1e100
 
 
 class BudgetExceeded(RuntimeError):
-    """The conflict budget ran out before a SAT/UNSAT answer."""
+    """The conflict budget or the deadline ran out before a SAT/UNSAT
+    answer."""
 
 
 @dataclass
@@ -37,9 +43,14 @@ class SolveStats:
 
 @dataclass
 class SatResult:
+    """``core`` is set on an UNSAT answer that depends on the assumptions:
+    a subset of them that is UNSAT together with the clauses. UNSAT of
+    the clauses alone (no assumption needed) and UNKNOWN carry none."""
+
     status: str
     model: dict[int, bool] | None
     stats: SolveStats = field(default_factory=SolveStats)
+    core: list[int] | None = None
 
 
 def _luby(i: int) -> int:
@@ -70,6 +81,11 @@ class Solver:
         self._reason: list[list[int] | None] = [None]
         self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
+        # Order heap: unassigned variables (and possibly assigned ones not
+        # yet popped), best activity first, ties to the lower index;
+        # _heap_pos[v] is v's slot, -1 when absent.
+        self._heap: list[int] = []
+        self._heap_pos: list[int] = [-1]
         # Indexed by literal code 2v / 2v+1 (positive / negative).
         self._watches: list[list[list[int]]] = [[], []]
         self._trail: list[int] = []
@@ -92,6 +108,10 @@ class Solver:
         self._reason.append(None)
         self._phase.append(self.default_phase)
         self._activity.append(0.0)
+        # Activity 0 is the least and the index the highest: the new
+        # variable belongs at the heap's end.
+        self._heap_pos.append(len(self._heap))
+        self._heap.append(self.num_vars)
         self._watches.append([])
         self._watches.append([])
         return self.num_vars
@@ -166,15 +186,26 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         lim = self._trail_lim[level]
+        heap, pos = self._heap, self._heap_pos
+        old = len(heap)
         for i in range(len(self._trail) - 1, lim - 1, -1):
             lit = self._trail[i]
             v = abs(lit)
             self._phase[v] = lit > 0
             self._assign[v] = 0
             self._reason[v] = None
+            if pos[v] < 0:
+                pos[v] = len(heap)
+                heap.append(v)
         del self._trail[lim:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
+        # Re-inserting most of the heap costs less as one sort.
+        if len(heap) - old > old:
+            self._heap_rebuild()
+        else:
+            for i in range(old, len(heap)):
+                self._sift_up(i)
 
     def _bump(self, v: int) -> None:
         self._activity[v] += self._var_inc
@@ -183,52 +214,125 @@ class Solver:
             for u in range(1, self.num_vars + 1):
                 self._activity[u] *= inv
             self._var_inc *= inv
+            # Scaling can round distinct activities to equal ones, which
+            # moves ties; reorder from scratch.
+            self._heap_rebuild()
+        elif self._heap_pos[v] >= 0:
+            self._sift_up(self._heap_pos[v])
+
+    # ------------------------------------------------------------------
+    # order heap (MiniSat's VarOrder): parent before child when its
+    # activity is higher, or equal with a lower variable index
+
+    def _heap_rebuild(self) -> None:
+        act, pos = self._activity, self._heap_pos
+        self._heap.sort(key=lambda u: (-act[u], u))  # sorted is a heap
+        for i, u in enumerate(self._heap):
+            pos[u] = i
+
+    def _heap_pop(self) -> int:
+        heap, pos = self._heap, self._heap_pos
+        top = heap[0]
+        last = heap.pop()
+        pos[top] = -1
+        if heap:
+            heap[0] = last
+            pos[last] = 0
+            self._sift_down(0)
+        return top
+
+    def _sift_up(self, i: int) -> None:
+        heap, pos, act = self._heap, self._heap_pos, self._activity
+        v = heap[i]
+        av = act[v]
+        while i > 0:
+            parent = (i - 1) >> 1
+            u = heap[parent]
+            au = act[u]
+            if au > av or (au == av and u < v):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = parent
+        heap[i] = v
+        pos[v] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap, pos, act = self._heap, self._heap_pos, self._activity
+        n = len(heap)
+        v = heap[i]
+        av = act[v]
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            u = heap[child]
+            au = act[u]
+            if child + 1 < n:
+                w = heap[child + 1]
+                aw = act[w]
+                if aw > au or (aw == au and w < u):
+                    child, u, au = child + 1, w, aw
+            if av > au or (av == au and v < u):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = child
+        heap[i] = v
+        pos[v] = i
 
     # ------------------------------------------------------------------
     # search
 
     def _propagate(self) -> list[int] | None:
-        """Propagate pending assignments; returns a conflicting clause."""
-        conflict = None
-        while self._qhead < len(self._trail):
-            p = self._trail[self._qhead]
+        """Propagate pending assignments; returns a conflicting clause.
+
+        The engine's hottest loop: ``_value``, ``_code`` and ``_enqueue``
+        are written out inline.
+        """
+        trail, assign, watches = self._trail, self._assign, self._watches
+        level, reason, trail_lim = self._level, self._reason, self._trail_lim
+        stats = self.stats
+        while self._qhead < len(trail):
+            p = trail[self._qhead]
             self._qhead += 1
-            self.stats.propagations += 1
+            stats.propagations += 1
             falsified = -p
-            watchers = self._watches[self._code(falsified)]
+            fcode = ((p << 1) | 1) if p > 0 else (falsified << 1)
+            watchers = watches[fcode]
             keep: list[list[int]] = []
             idx = 0
             n = len(watchers)
             while idx < n:
                 c = watchers[idx]
                 idx += 1
-                if conflict is not None:
-                    keep.append(c)
-                    continue
                 if c[0] == falsified:
                     c[0], c[1] = c[1], c[0]
                 first = c[0]
-                if self._value(first) == 1:
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == 1:
                     keep.append(c)
                     continue
-                moved = False
                 for k in range(2, len(c)):
-                    if self._value(c[k]) != -1:
-                        c[1], c[k] = c[k], c[1]
-                        self._watches[self._code(c[1])].append(c)
-                        moved = True
+                    lit = c[k]
+                    if (assign[lit] if lit > 0 else -assign[-lit]) != -1:
+                        c[1], c[k] = lit, c[1]
+                        watches[(lit << 1) if lit > 0
+                                else ((-lit) << 1) | 1].append(c)
                         break
-                if moved:
-                    continue
-                keep.append(c)
-                if self._value(first) == -1:
-                    conflict = c
-                    self._qhead = len(self._trail)
                 else:
-                    self._enqueue(first, c)
-            self._watches[self._code(falsified)] = keep
-            if conflict is not None:
-                return conflict
+                    keep.append(c)
+                    if value == -1:
+                        keep.extend(watchers[idx:])
+                        watches[fcode] = keep
+                        self._qhead = len(trail)
+                        return c
+                    v = first if first > 0 else -first
+                    assign[v] = 1 if first > 0 else -1
+                    level[v] = len(trail_lim)
+                    reason[v] = c
+                    trail.append(first)
+            watches[fcode] = keep
         return None
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
@@ -268,18 +372,48 @@ class Solver:
         learned[1], learned[hi] = learned[hi], learned[1]
         return learned, self._level[abs(learned[1])]
 
+    def _analyze_final(self, failed: int) -> list[int]:
+        """Assumptions that imply ``-failed`` (MiniSat ``analyzeFinal``).
+
+        Walks the reasons back from the failed assumption's variable over
+        the trail above the root; the decisions reached are assumptions.
+        """
+        core = [failed]
+        v = abs(failed)
+        if self._level[v] == 0:
+            return core
+        seen = {v}
+        trail, reason, level = self._trail, self._reason, self._level
+        for i in range(len(trail) - 1, self._trail_lim[0] - 1, -1):
+            u = abs(trail[i])
+            if u not in seen:
+                continue
+            clause = reason[u]
+            if clause is None:
+                core.append(trail[i])
+                continue
+            for q in clause:
+                w = abs(q)
+                if w != u and level[w] > 0:
+                    seen.add(w)
+        return core
+
     def _decide(self) -> None:
-        best, best_act = 0, -1.0
-        for v in range(1, self.num_vars + 1):
-            if self._assign[v] == 0 and self._activity[v] > best_act:
-                best, best_act = v, self._activity[v]
+        assign = self._assign
+        best = self._heap_pop()
+        while assign[best] != 0:
+            best = self._heap_pop()
         self.stats.decisions += 1
         lit = best if self._phase[best] else -best
         self._trail_lim.append(len(self._trail))
         self._enqueue(lit, None)
 
-    def solve(self, assumptions=()) -> SatResult:
-        """Decide satisfiability under the given assumption literals."""
+    def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
+        """Decide satisfiability under the given assumption literals.
+
+        Returns UNKNOWN once the conflict budget is spent or, checked at
+        every conflict, once ``time.perf_counter()`` passes ``deadline``.
+        """
         assumptions = [int(a) for a in assumptions]
         polarity: dict[int, int] = {}
         for a in assumptions:
@@ -317,8 +451,10 @@ class Solver:
                     self._attach(learned)
                     self._enqueue(learned[0], learned)
                 self._var_inc *= self._var_decay
-                if (self.conflict_budget is not None
-                        and self.stats.conflicts >= self.conflict_budget):
+                if ((self.conflict_budget is not None
+                     and self.stats.conflicts >= self.conflict_budget)
+                        or (deadline is not None
+                            and time.perf_counter() >= deadline)):
                     self._backtrack(0)
                     return SatResult(UNKNOWN, None, self.stats)
                 if since_restart >= limit:
@@ -332,8 +468,9 @@ class Solver:
                 a = assumptions[level]
                 val = self._value(a)
                 if val == -1:
+                    core = self._analyze_final(a)
                     self._backtrack(0)
-                    return SatResult(UNSAT, None, self.stats)
+                    return SatResult(UNSAT, None, self.stats, core)
                 self._trail_lim.append(len(self._trail))
                 if val == 0:
                     self._enqueue(a, None)
@@ -375,13 +512,7 @@ class SatEngine:
                         conflict_budget=self.conflict_budget)
         for clause in formula.clauses:
             solver.add_clause(clause)
-        result = solver.solve(assumptions)
-        if result.status == SAT:
-            model = result.model
-            for clause in formula.clauses:
-                if clause and not any(model[abs(l)] == (l > 0) for l in clause):
-                    raise AssertionError("internal: model fails input clause")
-        return result
+        return solver.solve(assumptions)
 
     def is_satisfiable(self, formula: CnfFormula) -> bool:
         result = self.solve(formula)
@@ -413,17 +544,21 @@ class SolverSession:
     def add_clause(self, lits) -> None:
         self.solver.add_clause(lits)
 
-    def solve(self, assumptions=()) -> SatResult:
+    def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
         self._engine.calls += 1
-        return self.solver.solve(assumptions)
+        return self.solver.solve(assumptions, deadline)
 
-    def is_sat(self, assumptions=()) -> bool:
+    def model(self, assumptions=()) -> dict[int, bool] | None:
+        """A model under the assumptions, or None if there is none."""
         result = self.solve(assumptions)
         if result.status == UNKNOWN:
             raise BudgetExceeded(
                 f"conflict budget {self._engine.conflict_budget} exceeded"
             )
-        return result.status == SAT
+        return result.model
+
+    def is_sat(self, assumptions=()) -> bool:
+        return self.model(assumptions) is not None
 
 
 def solve(formula: CnfFormula, assumptions=()) -> SatResult:

@@ -1,11 +1,14 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from musprune.cnf import CnfFormula, clause_stats, parse_dimacs
-from musprune.generators import (GenSpec, coloring_encoding, emit_corpus,
+from musprune.generators import (GenSpec, _clause_length,
+                                 _lengths_from_histogram, _sample_clause,
+                                 coloring_encoding, emit_corpus,
                                  gen_graph_coloring, gen_sr_random,
                                  gen_stat_matched, generate)
 from musprune.mus import truth_table_satisfiable
@@ -91,6 +94,63 @@ class TestStatMatched:
         bad = clause_stats(CnfFormula(0, []))
         with pytest.raises(ValueError):
             gen_stat_matched(bad, seed=0)
+
+
+def reference_sr(n_vars, seed):
+    """gen_sr_random with one SAT query per added clause."""
+    rng = np.random.default_rng(seed)
+    session = SatEngine().session(n_vars)
+    clauses = []
+    while True:
+        clause = _sample_clause(rng, n_vars, _clause_length(rng, 0.3, 0.3))
+        session.add_clause(clause)
+        clauses.append(clause)
+        if not session.is_sat():
+            return CnfFormula(n_vars, clauses)
+
+
+def reference_stat_matched(stats, seed):
+    """gen_stat_matched with one SAT query per candidate clause."""
+    lengths, probs = _lengths_from_histogram(stats.clause_length_histogram)
+    n = stats.num_vars
+    rng = np.random.default_rng(seed)
+    lower_bound = math.ceil(0.9 * stats.clause_to_variable_ratio * n)
+    session = SatEngine().session(n)
+    committed, clauses = [], []
+    while len(clauses) < lower_bound:
+        clause = _sample_clause(rng, n, int(rng.choice(lengths, p=probs)))
+        selector = session.add_variable()
+        session.add_clause(clause + [-selector])
+        if session.is_sat(committed + [selector]):
+            committed.append(selector)
+            clauses.append(clause)
+        else:
+            session.add_clause([-selector])
+    while True:
+        clause = _sample_clause(rng, n, int(rng.choice(lengths, p=probs)))
+        session.add_clause(clause)
+        clauses.append(clause)
+        if not session.is_sat(committed):
+            return CnfFormula(n, clauses)
+
+
+class TestModelReuse:
+    """Skipping the query when the last model satisfies the new clause
+    must give the formulas of a query per clause."""
+
+    def test_sr_matches_query_per_clause(self):
+        engine = SatEngine()
+        for i in range(30):
+            n = 8 + i % 25
+            assert gen_sr_random(n, seed=(3, i), engine=engine) \
+                == reference_sr(n, (3, i))
+        assert engine.calls < 30 * 40
+
+    def test_stat_matched_matches_query_per_clause(self):
+        target = clause_stats(gen_sr_random(20, seed=99))
+        for i in range(15):
+            assert gen_stat_matched(target, seed=(4, i)) \
+                == reference_stat_matched(target, (4, i))
 
 
 class TestGraphColoring:

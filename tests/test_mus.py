@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
 from musprune.cnf import CnfFormula
-from musprune.mus import (EnumerationTrace, MusRecord, brute_force_muses,
-                          enumerate_marco, is_mus, lift_muses, shrink,
-                          truth_table_satisfiable)
-from musprune.sat import SatEngine
+from musprune.generators import coloring_encoding
+from musprune.mus import (EnumerationTrace, MusRecord, _SubsetSolver,
+                          brute_force_muses, enumerate_marco, is_mus,
+                          lift_muses, shrink, truth_table_satisfiable)
+from musprune.sat import BudgetExceeded, SatEngine
 
 F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 
@@ -45,6 +48,32 @@ class TestIsMus:
             f = random_unsat(rng)
             for record in brute_force_muses(f):
                 assert is_mus(f, record.clause_indices)
+
+
+def k8_seven_colouring():
+    edges = [(u, v) for u in range(1, 9) for v in range(u + 1, 9)]
+    return coloring_encoding(8, edges, 7)
+
+
+class TestUnsatCore:
+    def test_sat_subset_has_none(self):
+        assert _SubsetSolver(F1).unsat_core({0, 2}) is None
+
+    def test_core_is_unsat_subset(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            f = random_unsat(rng)
+            core = _SubsetSolver(f).unsat_core(range(f.num_clauses))
+            assert core <= set(range(f.num_clauses))
+            assert not truth_table_satisfiable(f.induced(sorted(core)))
+
+    def test_core_leaves_out_unused_clauses(self):
+        f = CnfFormula(3, [[1], [-1], [2, 3], [-3]])
+        assert _SubsetSolver(f).unsat_core(range(4)) == {0, 1}
+
+    def test_passed_deadline_raises(self):
+        with pytest.raises(BudgetExceeded):
+            _SubsetSolver(F1).unsat_core({0, 1}, time.perf_counter())
 
 
 class TestShrink:
@@ -129,6 +158,18 @@ class TestEnumerateMarco:
         collected = []
         trace = enumerate_marco(F1, 30.0, sink=collected.append)
         assert collected == trace.muses
+
+    def test_budget_holds_on_hard_first_check(self):
+        # Refuting the K8 7-colouring alone takes this engine many seconds.
+        start = time.perf_counter()
+        trace = enumerate_marco(k8_seven_colouring(), 0.2)
+        assert time.perf_counter() - start < 0.7
+        assert trace.muses == [] and not trace.exhausted
+
+    def test_conflict_budget_still_raises(self):
+        with pytest.raises(BudgetExceeded):
+            enumerate_marco(k8_seven_colouring(), 30.0,
+                            engine=SatEngine(conflict_budget=1))
 
     def test_tiny_budget_contract(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,99 @@ class TestAssumptions:
         assert session.solve([-2]).status == SAT
 
 
+class TestCores:
+    def test_core_names_the_failing_assumptions(self):
+        r = solve(CnfFormula(3, [[1, 2]]), assumptions=[3, -1, -2])
+        assert r.status == UNSAT
+        assert sorted(r.core) == [-2, -1]
+
+    def test_core_through_implications(self):
+        # 1 -> 2 -> 3, so assuming 1 and -3 fails; 4 plays no part.
+        f = CnfFormula(4, [[-1, 2], [-2, 3]])
+        r = solve(f, assumptions=[4, 1, -3])
+        assert r.status == UNSAT
+        assert sorted(r.core) == [-3, 1]
+
+    def test_root_unsat_has_no_core(self):
+        r = solve(CnfFormula(2, [[1], [-1]]), assumptions=[2])
+        assert r.status == UNSAT and r.core is None
+
+    def test_sat_and_unknown_have_no_core(self):
+        assert solve(CnfFormula(2, [[1, 2]]), assumptions=[1]).core is None
+        solver = Solver(num_vars=30, conflict_budget=1)
+        for clause in pigeonhole(5):
+            solver.add_clause(clause)
+        r = solver.solve([1])
+        assert r.status == UNKNOWN and r.core is None
+
+    def test_cores_are_unsat_subsets(self):
+        rng = np.random.default_rng(8)
+        seen = 0
+        for _ in range(150):
+            f = random_formula(rng, 2, 8, density=2.0)
+            vs = rng.choice(f.num_vars, size=f.num_vars, replace=False) + 1
+            assumptions = [int(v) if rng.random() < 0.5 else -int(v)
+                           for v in vs]
+            r = solve(f, assumptions)
+            if r.core is None:
+                continue
+            seen += 1
+            assert set(r.core) <= set(assumptions)
+            forced = CnfFormula(f.num_vars,
+                                list(f.clauses) + [[a] for a in r.core])
+            assert not truth_table_satisfiable(forced)
+        assert seen > 40
+
+
+def pigeonhole(holes):
+    def var(p, h):
+        return p * holes + h + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(holes + 1)]
+    for h in range(holes):
+        for p in range(holes + 1):
+            for q in range(p + 1, holes + 1):
+                clauses.append([-var(p, h), -var(q, h)])
+    return clauses
+
+
+class TestDeadline:
+    def test_passed_deadline_reports_unknown(self):
+        solver = Solver(num_vars=42)
+        for clause in pigeonhole(6):
+            solver.add_clause(clause)
+        r = solver.solve(deadline=time.perf_counter())
+        assert r.status == UNKNOWN
+        assert r.stats.conflicts == 1
+
+    def test_deadline_holds_on_hard_instance(self):
+        # PHP(9, 8) takes this engine far longer than the deadline.
+        solver = Solver(num_vars=72)
+        for clause in pigeonhole(8):
+            solver.add_clause(clause)
+        start = time.perf_counter()
+        r = solver.solve(deadline=start + 0.1)
+        assert r.status == UNKNOWN
+        assert time.perf_counter() - start < 0.6
+
+    def test_far_deadline_changes_nothing(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            f = random_formula(rng, 4, 12)
+            solver = Solver(num_vars=f.num_vars)
+            for clause in f.clauses:
+                solver.add_clause(clause)
+            r = solver.solve(deadline=time.perf_counter() + 1e6)
+            assert r.status == solve(f).status
+            assert r.stats == solve(f).stats
+
+
 class TestIncremental:
+    def test_session_model(self):
+        session = SatEngine().session(2)
+        session.add_clause([1, 2])
+        assert session.model([-1]) == {1: False, 2: True}
+        assert session.model([-1, -2]) is None
+
     def test_clause_addition_monotone(self):
         engine = SatEngine()
         session = engine.session(3)
