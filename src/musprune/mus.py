@@ -47,6 +47,11 @@ class EnumerationTrace:
     exhausted: bool = False
 
 
+class _DeadlinePassed(BudgetExceeded):
+    """A query gave up because its deadline passed, not because the
+    engine's conflict budget ran out."""
+
+
 class _SubsetSolver:
     """Incremental subset-satisfiability queries via one selector per clause.
 
@@ -70,19 +75,24 @@ class _SubsetSolver:
     def unsat_core(self, subset, deadline: float | None = None) -> set[int] | None:
         """An UNSAT subset of ``subset``, or None if ``subset`` is SAT.
 
-        Raises BudgetExceeded on the engine's conflict budget or once
-        ``deadline`` (a ``time.perf_counter()`` value) passes.
+        Raises BudgetExceeded when the engine's conflict budget runs out,
+        and its subclass _DeadlinePassed once ``deadline`` (a
+        ``time.perf_counter()`` value) passes.
         """
         if deadline is not None and time.perf_counter() >= deadline:
-            raise BudgetExceeded("deadline passed")
+            raise _DeadlinePassed("deadline passed")
         assumptions = [self.selector(j) for j in sorted(subset)]
         result = self._session.solve(assumptions, deadline)
         if result.status == UNKNOWN:
-            raise BudgetExceeded("conflict budget or deadline exceeded")
+            budget = self._session.solver.conflict_budget
+            if budget is not None and result.stats.conflicts >= budget:
+                raise BudgetExceeded(f"conflict budget {budget} exceeded")
+            raise _DeadlinePassed("deadline passed")
         if result.status == SAT:
             return None
-        # No core: the clauses are UNSAT with every selector free.
-        return {s - self._base - 1 for s in result.core or ()}
+        if result.core is None:
+            raise AssertionError("internal: UNSAT subset answer without a core")
+        return {s - self._base - 1 for s in result.core}
 
 
 def _check_indices(formula: CnfFormula, subset) -> frozenset[int]:
@@ -158,7 +168,8 @@ def enumerate_marco(formula: CnfFormula, budget: float,
     subset (subsets then blocked). An UNSAT seed's shrink starts from the
     core of the seed's own query. Stops when the map empties or, returning
     the trace so far, when the budget runs out: every query, the first
-    full UNSAT check included, gets the deadline.
+    full UNSAT check included, gets the deadline. A conflict budget set
+    on the engine raises BudgetExceeded.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -191,9 +202,8 @@ def enumerate_marco(formula: CnfFormula, budget: float,
             if sink is not None:
                 sink(record)
             map_solver.add_clause([-(j + 1) for j in sorted(mus_set)])
-    except BudgetExceeded:
-        if time.perf_counter() < deadline:
-            raise  # the engine's conflict budget, not the clock
+    except _DeadlinePassed:
+        pass
     return trace
 
 

@@ -105,7 +105,7 @@ def reference_sr(n_vars, seed):
         clause = _sample_clause(rng, n_vars, _clause_length(rng, 0.3, 0.3))
         session.add_clause(clause)
         clauses.append(clause)
-        if not session.is_sat():
+        if session.model() is None:
             return CnfFormula(n_vars, clauses)
 
 
@@ -121,7 +121,7 @@ def reference_stat_matched(stats, seed):
         clause = _sample_clause(rng, n, int(rng.choice(lengths, p=probs)))
         selector = session.add_variable()
         session.add_clause(clause + [-selector])
-        if session.is_sat(committed + [selector]):
+        if session.model(committed + [selector]) is not None:
             committed.append(selector)
             clauses.append(clause)
         else:
@@ -130,7 +130,7 @@ def reference_stat_matched(stats, seed):
         clause = _sample_clause(rng, n, int(rng.choice(lengths, p=probs)))
         session.add_clause(clause)
         clauses.append(clause)
-        if not session.is_sat(committed):
+        if session.model(committed) is None:
             return CnfFormula(n, clauses)
 
 

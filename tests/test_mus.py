@@ -5,10 +5,10 @@ import pytest
 
 from musprune.cnf import CnfFormula
 from musprune.generators import coloring_encoding
-from musprune.mus import (EnumerationTrace, MusRecord, _SubsetSolver,
-                          brute_force_muses, enumerate_marco, is_mus,
-                          lift_muses, shrink, truth_table_satisfiable)
-from musprune.sat import BudgetExceeded, SatEngine
+from musprune.mus import (EnumerationTrace, MusRecord, _DeadlinePassed,
+                          _SubsetSolver, brute_force_muses, enumerate_marco,
+                          is_mus, lift_muses, shrink, truth_table_satisfiable)
+from musprune.sat import BudgetExceeded, SatEngine, SolverSession
 
 F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 
@@ -72,7 +72,7 @@ class TestUnsatCore:
         assert _SubsetSolver(f).unsat_core(range(4)) == {0, 1}
 
     def test_passed_deadline_raises(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(_DeadlinePassed):
             _SubsetSolver(F1).unsat_core({0, 1}, time.perf_counter())
 
 
@@ -160,15 +160,30 @@ class TestEnumerateMarco:
         assert collected == trace.muses
 
     def test_budget_holds_on_hard_first_check(self):
-        # Refuting the K8 7-colouring alone takes this engine many seconds.
+        # Refuting the K8 7-colouring alone takes this engine 8-11 s. The
+        # deadline is read at conflicts only, so the bound leaves room for
+        # a slow host.
         start = time.perf_counter()
         trace = enumerate_marco(k8_seven_colouring(), 0.2)
-        assert time.perf_counter() - start < 0.7
+        assert time.perf_counter() - start < 0.2 + 2.0
         assert trace.muses == [] and not trace.exhausted
 
-    def test_conflict_budget_still_raises(self):
+    def test_conflict_budget_still_raises(self, monkeypatch):
         with pytest.raises(BudgetExceeded):
             enumerate_marco(k8_seven_colouring(), 30.0,
+                            engine=SatEngine(conflict_budget=1))
+        # The budget runs out, then the clock passes the deadline before
+        # the answer reaches the enumerator: still the conflict budget.
+        solve = SolverSession.solve
+
+        def slow_solve(session, assumptions=(), deadline=None):
+            result = solve(session, assumptions, deadline)
+            time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(SolverSession, "solve", slow_solve)
+        with pytest.raises(BudgetExceeded):
+            enumerate_marco(k8_seven_colouring(), 0.2,
                             engine=SatEngine(conflict_budget=1))
 
     def test_tiny_budget_contract(self):
