@@ -5,24 +5,26 @@ This walk-through builds a small formula, inspects its statistics, and
 queries the CDCL engine directly.
 """
 
-from musprune import (CnfFormula, clause_stats, is_satisfiable, parse_dimacs,
-                      solve, write_dimacs)
+from musprune import (CnfFormula, SatEngine, clause_stats, parse_dimacs,
+                      write_dimacs)
+
+engine = SatEngine()
 
 # The running example: four clauses over two variables. It is
 # unsatisfiable because (1) and (-1) already conflict.
 f1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 print("formula:", f1.clauses)
-print("satisfiable?", is_satisfiable(f1))  # False
+print("satisfiable?", engine.is_satisfiable(f1))  # False
 
 # A satisfiable variant: drop the clause (-1).
 sat_variant = CnfFormula(2, [[1], [1, 2], [-2]])
-result = solve(sat_variant)
+result = engine.solve(sat_variant)
 print("variant status:", result.status, "model:", result.model)
 print("solver stats:", result.stats)
 
 # Assumptions force literals true for one query without changing the
 # formula. Forcing 2 true makes the clause (-2) unsatisfiable.
-print("assume 2:", solve(sat_variant, assumptions=[2]).status)
+print("assume 2:", engine.solve(sat_variant, assumptions=[2]).status)
 
 # DIMACS text round-trips exactly.
 text = write_dimacs(f1)

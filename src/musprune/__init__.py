@@ -20,8 +20,8 @@ from .mus import (EnumerationTrace, MusRecord, brute_force_muses,
                   truth_table_satisfiable)
 from .pruning import (PruneOutcome, clause_length_prune, none_prune,
                       random_prune, threshold_prune, variable_frequency_prune)
-from .sat import (SAT, UNKNOWN, UNSAT, BudgetExceeded, SatEngine, SatResult,
-                  Solver, SolveStats, is_satisfiable, solve)
+from .sat import (SAT, UNKNOWN, UNSAT, SatEngine, SatResult, Solver,
+                  SolveStats)
 from .training import (OptimizerState, TrainConfig, TrainMetrics, adam_update,
                        evaluate_loss, prune_loss, reinforce_step, train)
 

@@ -217,7 +217,6 @@ def run_pipeline(problem: CnfFormula, pruner, enumerator, budget: float,
     record.prune_time = outcome.wall_time
     remaining = budget - outcome.wall_time
     if remaining <= 0:
-        record.status = "ok"
         record.reason = "budget consumed by pruning"
         return record
     t0 = time.perf_counter()
@@ -449,7 +448,7 @@ def emit_report(report: BenchReport, formats, out_prefix: str) -> list[str]:
             with open(path, "w") as fh:
                 fh.write(report_to_json(report))
             written.append(path)
-        elif fmt in ("markdown", "md", "markdown-table"):
+        elif fmt == "markdown":
             path = f"{out_prefix}.table.md"
             with open(path, "w") as fh:
                 fh.write(report_to_markdown(report))

@@ -33,6 +33,8 @@ import numpy as np
 from .cnf import CnfFormula, FormulaStats, write_dimacs
 from .sat import SatEngine
 
+MAX_REJECTIONS = 10_000
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -112,20 +114,19 @@ def _lengths_from_histogram(histogram: dict[int, int]):
 
 
 def gen_stat_matched(stats: FormulaStats, seed=0,
-                     engine: SatEngine | None = None,
-                     n_vars: int | None = None,
-                     max_rejections: int = 10_000) -> CnfFormula:
+                     engine: SatEngine | None = None) -> CnfFormula:
     """Generate an UNSAT formula matching target statistics.
 
-    The variable count defaults to the target's; the clause lower bound is
+    The variable count is the target's; the clause lower bound is
     ceil(0.9 * ratio * N). Until the bound, candidate clauses that would
-    make the formula UNSAT are rejected (bounded consecutive retries);
-    afterwards clauses are added unconditionally until UNSAT.
+    make the formula UNSAT are rejected (at most ``MAX_REJECTIONS``
+    consecutive retries); afterwards clauses are added unconditionally
+    until UNSAT.
     """
     if stats.clause_to_variable_ratio <= 0:
         raise ValueError("target ratio must be positive")
     lengths, probs = _lengths_from_histogram(stats.clause_length_histogram)
-    n = int(n_vars if n_vars is not None else stats.num_vars)
+    n = int(stats.num_vars)
     if n < 2:
         raise ValueError("need at least two variables")
     engine = engine if engine is not None else SatEngine()
@@ -151,9 +152,9 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
         else:
             session.add_clause([-selector])
             rejections += 1
-            if rejections >= max_rejections:
+            if rejections >= MAX_REJECTIONS:
                 raise RuntimeError(
-                    f"clause rejection stalled after {max_rejections} "
+                    f"clause rejection stalled after {MAX_REJECTIONS} "
                     f"consecutive SAT-preserving failures"
                 )
     while True:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cnf import CnfFormula
-from .sat import SAT, UNKNOWN, UNSAT, BudgetExceeded, SatEngine, Solver
+from .sat import SAT, UNKNOWN, UNSAT, SatEngine, Solver
 
 BRUTE_FORCE_CLAUSE_LIMIT = 20
 TRUTH_TABLE_VAR_LIMIT = 24
@@ -47,9 +47,8 @@ class EnumerationTrace:
     exhausted: bool = False
 
 
-class _DeadlinePassed(BudgetExceeded):
-    """A query gave up because its deadline passed, not because the
-    engine's conflict budget ran out."""
+class _DeadlinePassed(Exception):
+    """A subset query gave up because its deadline passed."""
 
 
 class _SubsetSolver:
@@ -75,18 +74,14 @@ class _SubsetSolver:
     def unsat_core(self, subset, deadline: float | None = None) -> set[int] | None:
         """An UNSAT subset of ``subset``, or None if ``subset`` is SAT.
 
-        Raises BudgetExceeded when the engine's conflict budget runs out,
-        and its subclass _DeadlinePassed once ``deadline`` (a
-        ``time.perf_counter()`` value) passes.
+        Raises _DeadlinePassed once ``deadline`` (a ``time.perf_counter()``
+        value) passes.
         """
         if deadline is not None and time.perf_counter() >= deadline:
             raise _DeadlinePassed("deadline passed")
         assumptions = [self.selector(j) for j in sorted(subset)]
         result = self._session.solve(assumptions, deadline)
         if result.status == UNKNOWN:
-            budget = self._session.solver.conflict_budget
-            if budget is not None and result.stats.conflicts >= budget:
-                raise BudgetExceeded(f"conflict budget {budget} exceeded")
             raise _DeadlinePassed("deadline passed")
         if result.status == SAT:
             return None
@@ -168,8 +163,7 @@ def enumerate_marco(formula: CnfFormula, budget: float,
     subset (subsets then blocked). An UNSAT seed's shrink starts from the
     core of the seed's own query. Stops when the map empties or, returning
     the trace so far, when the budget runs out: every query, the first
-    full UNSAT check included, gets the deadline. A conflict budget set
-    on the engine raises BudgetExceeded.
+    full UNSAT check included, gets the deadline.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")

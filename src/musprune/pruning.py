@@ -75,7 +75,7 @@ def _grid_search(formula: CnfFormula, scores: np.ndarray, levels,
             hi = mid
     sat_calls = engine.calls - calls_before
     wall = time.perf_counter() - start
-    if lo == len(levels) - 1 or best is None:
+    if best is None:
         return _identity_outcome(formula, method, sat_calls, wall)
     pruned, index_map = best
     return PruneOutcome(

@@ -8,8 +8,8 @@ Deterministic: ties in branching break toward the lowest variable index
 and there is no randomness anywhere.
 
 Supports assumption literals (forced true for one query), incremental
-clause addition at the root level, and a per-query conflict budget and
-wall-clock deadline, both reported as UNKNOWN, distinct from SAT/UNSAT.
+clause addition at the root level, and a per-query wall-clock deadline,
+whose passing is reported as UNKNOWN, distinct from SAT/UNSAT.
 An UNSAT answer caused by the assumptions carries a core: the
 assumptions the final conflict depends on (MiniSat ``analyzeFinal``).
 """
@@ -27,11 +27,6 @@ UNKNOWN = "UNKNOWN"
 
 _LUBY_UNIT = 128
 _ACTIVITY_RESCALE = 1e100
-
-
-class BudgetExceeded(RuntimeError):
-    """The conflict budget or the deadline ran out before a SAT/UNSAT
-    answer."""
 
 
 @dataclass
@@ -69,11 +64,9 @@ def _luby(i: int) -> int:
 class Solver:
     """One stateful CDCL instance; not safe to share across threads."""
 
-    def __init__(self, num_vars: int = 0, default_phase: bool = False,
-                 conflict_budget: int | None = None):
+    def __init__(self, num_vars: int = 0, default_phase: bool = False):
         self.ok = True
         self.default_phase = bool(default_phase)
-        self.conflict_budget = conflict_budget
         self.num_vars = 0
         # Indexed by variable (1-based; slot 0 unused).
         self._assign: list[int] = [0]     # 0 free, 1 true, -1 false
@@ -413,8 +406,8 @@ class Solver:
     def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
         """Decide satisfiability under the given assumption literals.
 
-        Returns UNKNOWN once the conflict budget is spent or, checked at
-        every conflict, once ``time.perf_counter()`` passes ``deadline``.
+        Returns UNKNOWN once ``time.perf_counter()`` passes ``deadline``,
+        checked at every conflict.
         """
         assumptions = [int(a) for a in assumptions]
         polarity: dict[int, int] = {}
@@ -453,10 +446,7 @@ class Solver:
                     self._attach(learned)
                     self._enqueue(learned[0], learned)
                 self._var_inc *= self._var_decay
-                if ((self.conflict_budget is not None
-                     and self.stats.conflicts >= self.conflict_budget)
-                        or (deadline is not None
-                            and time.perf_counter() >= deadline)):
+                if deadline is not None and time.perf_counter() >= deadline:
                     self._backtrack(0)
                     return SatResult(UNKNOWN, None, self.stats)
                 if since_restart >= limit:
@@ -504,28 +494,21 @@ class SatEngine:
     engines may run concurrently.
     """
 
-    def __init__(self, conflict_budget: int | None = None):
-        self.conflict_budget = conflict_budget
+    def __init__(self):
         self.calls = 0
 
     def solve(self, formula: CnfFormula, assumptions=()) -> SatResult:
         self.calls += 1
-        solver = Solver(num_vars=formula.num_vars,
-                        conflict_budget=self.conflict_budget)
+        solver = Solver(num_vars=formula.num_vars)
         for clause in formula.clauses:
             solver.add_clause(clause)
         return solver.solve(assumptions)
 
     def is_satisfiable(self, formula: CnfFormula) -> bool:
-        result = self.solve(formula)
-        if result.status == UNKNOWN:
-            raise BudgetExceeded(
-                f"conflict budget {self.conflict_budget} exceeded"
-            )
-        return result.status == SAT
+        return self.solve(formula).status == SAT
 
-    def session(self, num_vars: int, default_phase: bool = False) -> "SolverSession":
-        return SolverSession(self, num_vars, default_phase)
+    def session(self, num_vars: int) -> "SolverSession":
+        return SolverSession(self, num_vars)
 
 
 class SolverSession:
@@ -535,36 +518,20 @@ class SolverSession:
     constraints. Solve calls count against the owning engine.
     """
 
-    def __init__(self, engine: SatEngine, num_vars: int, default_phase: bool):
+    def __init__(self, engine: SatEngine, num_vars: int):
         self._engine = engine
-        self.solver = Solver(num_vars=num_vars, default_phase=default_phase,
-                             conflict_budget=engine.conflict_budget)
+        self._solver = Solver(num_vars=num_vars)
 
     def add_variable(self) -> int:
-        return self.solver.add_variable()
+        return self._solver.add_variable()
 
     def add_clause(self, lits) -> None:
-        self.solver.add_clause(lits)
+        self._solver.add_clause(lits)
 
     def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
         self._engine.calls += 1
-        return self.solver.solve(assumptions, deadline)
+        return self._solver.solve(assumptions, deadline)
 
     def model(self, assumptions=()) -> dict[int, bool] | None:
         """A model under the assumptions, or None if there is none."""
-        result = self.solve(assumptions)
-        if result.status == UNKNOWN:
-            raise BudgetExceeded(
-                f"conflict budget {self._engine.conflict_budget} exceeded"
-            )
-        return result.model
-
-
-def solve(formula: CnfFormula, assumptions=()) -> SatResult:
-    """One-shot solve with a fresh default engine."""
-    return SatEngine().solve(formula, assumptions)
-
-
-def is_satisfiable(formula: CnfFormula) -> bool:
-    """One-shot satisfiability decision with a fresh default engine."""
-    return SatEngine().is_satisfiable(formula)
+        return self.solve(assumptions).model

@@ -236,19 +236,15 @@ def train(config: TrainConfig, formula_source, engine: SatEngine,
             eval_loss = evaluate_loss(params, eval_set, engine, seed=config.seed)
             row["eval_loss"] = eval_loss
             if eval_loss < best_loss * (1.0 - config.min_delta):
-                best_loss = eval_loss
-                best_params = params.copy()
                 stale_evals = 0
             else:
-                if eval_loss < best_loss:
-                    best_loss = eval_loss
-                    best_params = params.copy()
                 stale_evals += 1
-            history.append(row)
-            if stale_evals >= config.early_stop_window:
-                break
-            continue
+            if eval_loss < best_loss:
+                best_loss = eval_loss
+                best_params = params.copy()
         history.append(row)
+        if stale_evals >= config.early_stop_window:
+            break
     if math.isinf(best_loss):
         best_params = params.copy()
     return best_params, history

@@ -12,7 +12,7 @@ from musprune.generators import (GenSpec, _clause_length,
                                  gen_graph_coloring, gen_sr_random,
                                  gen_stat_matched, generate)
 from musprune.mus import truth_table_satisfiable
-from musprune.sat import SatEngine, is_satisfiable
+from musprune.sat import SatEngine
 
 
 class TestSrRandom:
@@ -59,7 +59,7 @@ class TestStatMatched:
         target = self.target()
         for i in range(5):
             f = gen_stat_matched(target, seed=i)
-            assert not is_satisfiable(f)
+            assert not SatEngine().is_satisfiable(f)
 
     def test_clause_count_at_least_lower_bound(self):
         target = self.target()
@@ -179,7 +179,7 @@ class TestGraphColoring:
     def test_generated_instances_unsat(self):
         for i in range(5):
             f = gen_graph_coloring((4, 8), 0.8, (2, 3), seed=i)
-            assert not is_satisfiable(f)
+            assert not SatEngine().is_satisfiable(f)
 
     def test_deterministic(self):
         a = gen_graph_coloring((4, 8), 0.8, (2, 3), seed=7)

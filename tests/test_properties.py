@@ -4,6 +4,8 @@ Settings are deterministic (derandomized, no example database) so every
 run draws the same examples.
 """
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -55,11 +57,27 @@ def with_units(f, lits):
     return CnfFormula(f.num_vars, list(f.clauses) + [[a] for a in lits])
 
 
-def make_solver(f, budget=None):
-    solver = Solver(num_vars=f.num_vars, conflict_budget=budget)
+def make_solver(f):
+    solver = Solver(num_vars=f.num_vars)
     for clause in f.clauses:
         solver.add_clause(clause)
     return solver
+
+
+def solve_or_give_up(f, assumptions, give_up):
+    """Solve, under an already passed deadline if ``give_up``.
+
+    A passed deadline trips at the first conflict with UNKNOWN and no
+    core; the same solver is then asked again without one.
+    """
+    solver = make_solver(f)
+    r = solver.solve(assumptions, time.perf_counter() if give_up else None)
+    if r.status == UNKNOWN:
+        assert give_up
+        assert r.stats.conflicts == 1 and r.core is None
+        r = solver.solve(assumptions)
+    assert r.status != UNKNOWN
+    return r
 
 
 def satisfies(model, clauses):
@@ -73,7 +91,7 @@ def small_unsat(draw):
         # Add the negations of a model's literals until UNSAT: every
         # drawn formula is used, none rejected.
         while truth_table_satisfiable(f):
-            model = sat.solve(f).model
+            model = sat.SatEngine().solve(f).model
             v = draw(st.integers(1, f.num_vars))
             f = CnfFormula(f.num_vars,
                            list(f.clauses) + [[-v if model[v] else v]])
@@ -83,15 +101,10 @@ def small_unsat(draw):
 class TestCdcl:
     @SETTINGS
     @given(with_assumptions(st.one_of(formulas(), three_sat())),
-           st.sampled_from([None, 1, 2, 5]))
-    def test_agrees_with_truth_table(self, case, budget):
+           st.booleans())
+    def test_agrees_with_truth_table(self, case, give_up):
         f, assumptions = case
-        r = make_solver(f, budget).solve(assumptions)
-        if budget is None:
-            assert r.status != UNKNOWN
-        if r.status == UNKNOWN:
-            assert r.stats.conflicts == budget
-            return
+        r = solve_or_give_up(f, assumptions, give_up)
         expected = truth_table_satisfiable(with_units(f, assumptions))
         assert (r.status == SAT) == expected
         if r.status == SAT:
@@ -113,10 +126,10 @@ class TestCdcl:
 
     @SETTINGS
     @given(with_assumptions(st.one_of(formulas(), three_sat())),
-           st.sampled_from([None, 3]))
-    def test_cores(self, case, budget):
+           st.booleans())
+    def test_cores(self, case, give_up):
         f, assumptions = case
-        r = make_solver(f, budget).solve(assumptions)
+        r = solve_or_give_up(f, assumptions, give_up)
         if r.status != UNSAT:
             assert r.core is None
             return

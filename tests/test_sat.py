@@ -5,8 +5,7 @@ import pytest
 
 from musprune.cnf import CnfFormula
 from musprune.mus import truth_table_satisfiable
-from musprune.sat import (SAT, UNKNOWN, UNSAT, BudgetExceeded, SatEngine,
-                          Solver, is_satisfiable, solve)
+from musprune.sat import SAT, UNKNOWN, UNSAT, SatEngine, Solver
 
 
 def random_formula(rng, n_lo=1, n_hi=16, density=4.3):
@@ -23,33 +22,33 @@ def random_formula(rng, n_lo=1, n_hi=16, density=4.3):
 
 class TestSolveBasics:
     def test_contradiction_pair(self):
-        assert solve(CnfFormula(1, [[1], [-1]])).status == UNSAT
+        assert SatEngine().solve(CnfFormula(1, [[1], [-1]])).status == UNSAT
 
     def test_simple_sat_with_model(self):
-        r = solve(CnfFormula(2, [[1, 2]]))
+        r = SatEngine().solve(CnfFormula(2, [[1, 2]]))
         assert r.status == SAT
         assert r.model[1] or r.model[2]
 
     def test_all_sign_patterns_unsat(self):
         f = CnfFormula(2, [[1, 2], [-1, 2], [1, -2], [-1, -2]])
-        assert solve(f).status == UNSAT
+        assert SatEngine().solve(f).status == UNSAT
 
     def test_empty_clause_set_is_sat(self):
-        assert is_satisfiable(CnfFormula(3, []))
+        assert SatEngine().is_satisfiable(CnfFormula(3, []))
 
     def test_empty_clause_is_unsat(self):
-        assert not is_satisfiable(CnfFormula(1, [[], [1]]))
+        assert not SatEngine().is_satisfiable(CnfFormula(1, [[], [1]]))
 
     def test_model_is_total(self):
-        r = solve(CnfFormula(5, [[1]]))
+        r = SatEngine().solve(CnfFormula(5, [[1]]))
         assert set(r.model) == {1, 2, 3, 4, 5}
 
     def test_duplicate_literals_handled(self):
-        assert is_satisfiable(CnfFormula(1, [[1, 1]]))
-        assert not is_satisfiable(CnfFormula(1, [[1, 1], [-1]]))
+        assert SatEngine().is_satisfiable(CnfFormula(1, [[1, 1]]))
+        assert not SatEngine().is_satisfiable(CnfFormula(1, [[1, 1], [-1]]))
 
     def test_tautology_dropped(self):
-        assert is_satisfiable(CnfFormula(1, [[1, -1], [-1]]))
+        assert SatEngine().is_satisfiable(CnfFormula(1, [[1, -1], [-1]]))
 
 
 class TestAgainstTruthTables:
@@ -57,20 +56,20 @@ class TestAgainstTruthTables:
         rng = np.random.default_rng(0)
         for _ in range(300):
             f = random_formula(rng, 1, 10)
-            assert is_satisfiable(f) == truth_table_satisfiable(f)
+            assert SatEngine().is_satisfiable(f) == truth_table_satisfiable(f)
 
     def test_agreement_to_16_vars(self):
         rng = np.random.default_rng(1)
         for _ in range(80):
             f = random_formula(rng, 8, 16)
-            assert is_satisfiable(f) == truth_table_satisfiable(f)
+            assert SatEngine().is_satisfiable(f) == truth_table_satisfiable(f)
 
     def test_models_validate(self):
         # SatEngine verifies internally; this re-checks at the test level.
         rng = np.random.default_rng(2)
         for _ in range(100):
             f = random_formula(rng, 2, 12)
-            r = solve(f)
+            r = SatEngine().solve(f)
             if r.status == SAT:
                 for clause in f.clauses:
                     assert any(r.model[abs(l)] == (l > 0) for l in clause)
@@ -78,16 +77,17 @@ class TestAgainstTruthTables:
 
 class TestAssumptions:
     def test_assumption_forces_polarity(self):
-        r = solve(CnfFormula(2, [[1, 2]]), assumptions=[-1])
+        r = SatEngine().solve(CnfFormula(2, [[1, 2]]), assumptions=[-1])
         assert r.status == SAT
         assert r.model[1] is False and r.model[2] is True
 
     def test_unsat_under_assumptions(self):
-        assert solve(CnfFormula(2, [[1, 2]]), assumptions=[-1, -2]).status == UNSAT
+        r = SatEngine().solve(CnfFormula(2, [[1, 2]]), assumptions=[-1, -2])
+        assert r.status == UNSAT
 
     def test_conflicting_assumptions_rejected(self):
         with pytest.raises(ValueError, match="both ways"):
-            solve(CnfFormula(1, [[1]]), assumptions=[1, -1])
+            SatEngine().solve(CnfFormula(1, [[1]]), assumptions=[1, -1])
 
     def test_equals_unit_clause_addition(self):
         rng = np.random.default_rng(3)
@@ -96,10 +96,10 @@ class TestAssumptions:
             n_assume = int(rng.integers(1, f.num_vars + 1))
             vs = rng.choice(f.num_vars, size=n_assume, replace=False) + 1
             assumptions = [int(v) if rng.random() < 0.5 else -int(v) for v in vs]
-            direct = solve(f, assumptions).status
+            direct = SatEngine().solve(f, assumptions).status
             augmented = CnfFormula(
                 f.num_vars, list(f.clauses) + [[a] for a in assumptions])
-            assert direct == solve(augmented).status
+            assert direct == SatEngine().solve(augmented).status
 
     def test_solver_reusable_after_assumption_unsat(self):
         engine = SatEngine()
@@ -112,27 +112,28 @@ class TestAssumptions:
 
 class TestCores:
     def test_core_names_the_failing_assumptions(self):
-        r = solve(CnfFormula(3, [[1, 2]]), assumptions=[3, -1, -2])
+        r = SatEngine().solve(CnfFormula(3, [[1, 2]]), assumptions=[3, -1, -2])
         assert r.status == UNSAT
         assert sorted(r.core) == [-2, -1]
 
     def test_core_through_implications(self):
         # 1 -> 2 -> 3, so assuming 1 and -3 fails; 4 plays no part.
         f = CnfFormula(4, [[-1, 2], [-2, 3]])
-        r = solve(f, assumptions=[4, 1, -3])
+        r = SatEngine().solve(f, assumptions=[4, 1, -3])
         assert r.status == UNSAT
         assert sorted(r.core) == [-3, 1]
 
     def test_root_unsat_has_no_core(self):
-        r = solve(CnfFormula(2, [[1], [-1]]), assumptions=[2])
+        r = SatEngine().solve(CnfFormula(2, [[1], [-1]]), assumptions=[2])
         assert r.status == UNSAT and r.core is None
 
     def test_sat_and_unknown_have_no_core(self):
-        assert solve(CnfFormula(2, [[1, 2]]), assumptions=[1]).core is None
-        solver = Solver(num_vars=30, conflict_budget=1)
+        r = SatEngine().solve(CnfFormula(2, [[1, 2]]), assumptions=[1])
+        assert r.status == SAT and r.core is None
+        solver = Solver(num_vars=30)
         for clause in pigeonhole(5):
             solver.add_clause(clause)
-        r = solver.solve([1])
+        r = solver.solve([1], deadline=time.perf_counter())
         assert r.status == UNKNOWN and r.core is None
 
     def test_cores_are_unsat_subsets(self):
@@ -143,7 +144,7 @@ class TestCores:
             vs = rng.choice(f.num_vars, size=f.num_vars, replace=False) + 1
             assumptions = [int(v) if rng.random() < 0.5 else -int(v)
                            for v in vs]
-            r = solve(f, assumptions)
+            r = SatEngine().solve(f, assumptions)
             if r.core is None:
                 continue
             seen += 1
@@ -194,8 +195,8 @@ class TestDeadline:
             for clause in f.clauses:
                 solver.add_clause(clause)
             r = solver.solve(deadline=time.perf_counter() + 1e6)
-            assert r.status == solve(f).status
-            assert r.stats == solve(f).stats
+            assert r.status == SatEngine().solve(f).status
+            assert r.stats == SatEngine().solve(f).stats
 
 
 class TestIncremental:
@@ -233,7 +234,7 @@ class TestDeterminism:
         rng = np.random.default_rng(5)
         for _ in range(20):
             f = random_formula(rng, 4, 12)
-            r1, r2 = solve(f), solve(f)
+            r1, r2 = SatEngine().solve(f), SatEngine().solve(f)
             assert r1.status == r2.status
             assert r1.model == r2.model
             assert r1.stats.decisions == r2.stats.decisions
@@ -241,28 +242,6 @@ class TestDeterminism:
 
 
 class TestBudget:
-    def test_budget_reports_unknown(self):
-        # Phase-transition 3-SAT needs real search, so a one-conflict
-        # budget must trip on some instances.
-        rng = np.random.default_rng(6)
-        engine = SatEngine(conflict_budget=1)
-        seen_unknown = False
-        for _ in range(40):
-            n = 14
-            clauses = []
-            for _ in range(int(4.26 * n)):
-                vs = rng.choice(n, size=3, replace=False) + 1
-                signs = rng.integers(0, 2, size=3) * 2 - 1
-                clauses.append([int(v * s) for v, s in zip(vs, signs)])
-            f = CnfFormula(n, clauses)
-            r = engine.solve(f)
-            assert r.status in (SAT, UNSAT, UNKNOWN)
-            if r.status == UNKNOWN:
-                seen_unknown = True
-                with pytest.raises(BudgetExceeded):
-                    engine.is_satisfiable(f)
-        assert seen_unknown
-
     def test_unlimited_budget_never_unknown(self):
         rng = np.random.default_rng(7)
         engine = SatEngine()
@@ -279,5 +258,6 @@ class TestEngineBookkeeping:
         assert engine.calls == 2
 
     def test_stats_populated(self):
-        r = solve(CnfFormula(3, [[1, 2], [-1, 3], [-3, -2], [2, 3]]))
+        f = CnfFormula(3, [[1, 2], [-1, 3], [-3, -2], [2, 3]])
+        r = SatEngine().solve(f)
         assert r.stats.propagations > 0
