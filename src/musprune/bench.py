@@ -83,7 +83,7 @@ class RunRecord:
     pruner: str
     budget: float
     repetition: int
-    status: str = "ok"             # ok|skipped|enum_error
+    status: str = "ok"             # ok|pruned_sat|skipped|enum_error
     reason: str = ""
     mus_count: int = 0
     kept_fraction: float = 1.0
@@ -215,6 +215,10 @@ def run_pipeline(problem: CnfFormula, pruner, enumerator, budget: float,
     record.kept_fraction = outcome.kept_fraction
     record.prune_sat_calls = outcome.sat_calls
     record.prune_time = outcome.wall_time
+    if not outcome.unsat:
+        record.status = "pruned_sat"
+        record.reason = "pruned formula is satisfiable"
+        return record
     remaining = budget - outcome.wall_time
     if remaining <= 0:
         record.reason = "budget consumed by pruning"
@@ -244,13 +248,19 @@ def run_pipeline(problem: CnfFormula, pruner, enumerator, budget: float,
     return record
 
 
+# Runs whose MUS count enters the aggregates. A pruned_sat run counts as 0
+# MUSes: its pruning left the formula satisfiable.
+_COUNTED_STATUSES = ("ok", "pruned_sat")
+
+
 def _aggregate(records: list[RunRecord]) -> list[AggregateRow]:
     rows: list[AggregateRow] = []
     keys = sorted({(r.pruner, r.budget) for r in records})
     for pruner, budget in keys:
         per_rep: dict[int, list[int]] = {}
         for r in records:
-            if r.pruner == pruner and r.budget == budget and r.status == "ok":
+            if (r.pruner == pruner and r.budget == budget
+                    and r.status in _COUNTED_STATUSES):
                 per_rep.setdefault(r.repetition, []).append(r.mus_count)
         pooled: list[int] = []
         for rep in sorted(per_rep):
@@ -357,15 +367,7 @@ def aggregates_to_csv(report: BenchReport) -> str:
 
 def report_to_json(report: BenchReport) -> str:
     payload = {
-        "config": {
-            "problems": list(report.config.problems),
-            "pruners": [asdict(p) for p in report.config.pruners],
-            "enumerator": asdict(report.config.enumerator),
-            "budgets": list(report.config.budgets),
-            "repetitions": report.config.repetitions,
-            "seed": report.config.seed,
-            "audit_sample": report.config.audit_sample,
-        },
+        "config": asdict(report.config),
         "records": [asdict(r) for r in report.records],
         "aggregates": [asdict(a) for a in report.aggregates],
     }
@@ -405,7 +407,7 @@ def scatter_pairs(report: BenchReport, baseline: str | None = None) -> list[dict
         baseline = labels[0]
     per_key: dict[tuple[str, str, float], list[int]] = {}
     for r in report.records:
-        if r.status == "ok":
+        if r.status in _COUNTED_STATUSES:
             per_key.setdefault((r.problem, r.pruner, r.budget), []).append(
                 r.mus_count)
     rows = []

@@ -233,7 +233,7 @@ def _cmd_validate(args) -> int:
             record = bench_mod.run_pipeline(
                 formula, pruner, enumerate_marco, args.budget, seed=args.seed,
                 engine=engine, audit_sample=args.audit_sample)
-            if record.status == "enum_error":
+            if record.status != "ok":  # enum_error or pruned_sat
                 failures.append(f"{path}: {label}: {record.reason}")
             elif not record.audit_ok:
                 failures.append(f"{path}: {label}: a lifted MUS is not "

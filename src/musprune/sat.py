@@ -2,10 +2,11 @@
 
 A compact CDCL solver: unit propagation with two watched literals,
 first-UIP clause learning, VSIDS-style activities with phase saving,
-and restarts on a Luby schedule. Decisions come from an indexed binary
-max-heap over activities (MiniSat's order heap), so each costs O(log n).
-Deterministic: ties in branching break toward the lowest variable index
-and there is no randomness anywhere.
+and restarts on a Luby schedule. Decisions come from an order heap over
+activities (a ``heapq`` list whose stale entries are dropped as they are
+popped), so each costs O(log n) amortised. Deterministic: ties in
+branching break toward the lowest variable index and there is no
+randomness anywhere.
 
 Supports assumption literals (forced true for one query), incremental
 clause addition at the root level, and a per-query wall-clock deadline,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .cnf import CnfFormula
 
@@ -74,11 +76,12 @@ class Solver:
         self._reason: list[list[int] | None] = [None]
         self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
-        # Order heap: unassigned variables (and possibly assigned ones not
-        # yet popped), best activity first, ties to the lower index;
-        # _heap_pos[v] is v's slot, -1 when absent.
-        self._heap: list[int] = []
-        self._heap_pos: list[int] = [-1]
+        # Order heap of (-activity, variable) entries. Every free variable
+        # has an entry at its current activity. Between rebuilds,
+        # activities only grow, so a variable's older entries rank below
+        # its newest one. Hence the least entry of a free variable is the
+        # free variable of highest activity, ties to the lowest index.
+        self._heap: list[tuple[float, int]] = []
         # Indexed by literal code 2v / 2v+1 (positive / negative).
         self._watches: list[list[list[int]]] = [[], []]
         self._trail: list[int] = []
@@ -101,10 +104,7 @@ class Solver:
         self._reason.append(None)
         self._phase.append(self.default_phase)
         self._activity.append(0.0)
-        # Activity 0 is the least and the index the highest: the new
-        # variable belongs at the heap's end.
-        self._heap_pos.append(len(self._heap))
-        self._heap.append(self.num_vars)
+        heappush(self._heap, (-0.0, self.num_vars))
         self._watches.append([])
         self._watches.append([])
         return self.num_vars
@@ -179,28 +179,21 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         lim = self._trail_lim[level]
-        heap, pos = self._heap, self._heap_pos
-        old = len(heap)
+        heap, act = self._heap, self._activity
         for i in range(len(self._trail) - 1, lim - 1, -1):
             lit = self._trail[i]
             v = abs(lit)
             self._phase[v] = lit > 0
             self._assign[v] = 0
             self._reason[v] = None
-            if pos[v] < 0:
-                pos[v] = len(heap)
-                heap.append(v)
+            heappush(heap, (-act[v], v))
         del self._trail[lim:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
-        # Re-inserting most of the heap (a restart, or the return after a
-        # SAT answer) costs less as one sort than as sift-ups: 10% more
-        # MUS/s on enum_sr and 5% on enum_color (BENCH_4.json).
-        if len(heap) - old > old:
+        # Stale entries pile up with every backtrack; dropping them keeps
+        # the heap's memory linear in the number of variables.
+        if len(heap) > 2 * self.num_vars:
             self._heap_rebuild()
-        else:
-            for i in range(old, len(heap)):
-                self._sift_up(i)
 
     def _bump(self, v: int) -> None:
         self._activity[v] += self._var_inc
@@ -209,72 +202,15 @@ class Solver:
             for u in range(1, self.num_vars + 1):
                 self._activity[u] *= inv
             self._var_inc *= inv
-            # Scaling can round distinct activities to equal ones, which
-            # moves ties; reorder from scratch.
+            # Scaling lowers activities, which breaks the heap's ordering
+            # of a variable's entries; reorder from scratch.
             self._heap_rebuild()
-        elif self._heap_pos[v] >= 0:
-            self._sift_up(self._heap_pos[v])
-
-    # ------------------------------------------------------------------
-    # order heap (MiniSat's VarOrder): parent before child when its
-    # activity is higher, or equal with a lower variable index
 
     def _heap_rebuild(self) -> None:
-        act, pos = self._activity, self._heap_pos
-        self._heap.sort(key=lambda u: (-act[u], u))  # sorted is a heap
-        for i, u in enumerate(self._heap):
-            pos[u] = i
-
-    def _heap_pop(self) -> int:
-        heap, pos = self._heap, self._heap_pos
-        top = heap[0]
-        last = heap.pop()
-        pos[top] = -1
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._sift_down(0)
-        return top
-
-    def _sift_up(self, i: int) -> None:
-        heap, pos, act = self._heap, self._heap_pos, self._activity
-        v = heap[i]
-        av = act[v]
-        while i > 0:
-            parent = (i - 1) >> 1
-            u = heap[parent]
-            au = act[u]
-            if au > av or (au == av and u < v):
-                break
-            heap[i] = u
-            pos[u] = i
-            i = parent
-        heap[i] = v
-        pos[v] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap, pos, act = self._heap, self._heap_pos, self._activity
-        n = len(heap)
-        v = heap[i]
-        av = act[v]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            u = heap[child]
-            au = act[u]
-            if child + 1 < n:
-                w = heap[child + 1]
-                aw = act[w]
-                if aw > au or (aw == au and w < u):
-                    child, u, au = child + 1, w, aw
-            if av > au or (av == au and v < u):
-                break
-            heap[i] = u
-            pos[u] = i
-            i = child
-        heap[i] = v
-        pos[v] = i
+        act, assign = self._activity, self._assign
+        self._heap = [(-act[v], v) for v in range(1, self.num_vars + 1)
+                      if assign[v] == 0]
+        heapify(self._heap)
 
     # ------------------------------------------------------------------
     # search
@@ -394,10 +330,10 @@ class Solver:
         return core
 
     def _decide(self) -> None:
-        assign = self._assign
-        best = self._heap_pop()
+        assign, heap = self._assign, self._heap
+        best = heappop(heap)[1]
         while assign[best] != 0:
-            best = self._heap_pop()
+            best = heappop(heap)[1]
         self.stats.decisions += 1
         lit = best if self._phase[best] else -best
         self._trail_lim.append(len(self._trail))

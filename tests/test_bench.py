@@ -3,6 +3,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from musprune.bench import (BenchConfig, EnumeratorSpec, PrunerSpec,
                             report_to_markdown, run_benchmark, run_pipeline,
                             scatter_pairs, _aggregate)
 from musprune.cnf import CnfFormula, write_dimacs
-from musprune.mus import brute_force_muses, enumerate_marco
+from musprune.mus import (brute_force_muses, enumerate_marco,
+                          truth_table_satisfiable)
+from musprune.pruning import random_prune
 from musprune.sat import SatEngine
 
 F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
@@ -21,7 +24,6 @@ F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 
 def tiny_unsat(seed):
     """Small UNSAT instance (few clauses) so enumeration exhausts fast."""
-    from musprune.mus import truth_table_satisfiable
     rng = np.random.default_rng(seed)
     while True:
         n = int(rng.integers(2, 5))
@@ -114,6 +116,34 @@ class TestRunBenchmark:
         skipped = [r for r in report.records if r.status == "skipped"]
         assert len(skipped) == 1
         assert skipped[0].reason == "input satisfiable"
+
+    def test_satisfiable_prunings_count_as_zero_muses(self, tmp_path):
+        problems = write_problems(tmp_path, [tiny_unsat(i)
+                                             for i in range(4)])
+        config = BenchConfig(
+            problems=problems,
+            pruners=(PrunerSpec(kind="none"),
+                     PrunerSpec(kind="random", fraction=0.5)),
+            budgets=(5.0,), repetitions=2, seed=0)
+        report = run_benchmark(config)
+        pooled = [a for a in report.aggregates if a.repetition is None]
+        assert len(pooled) == 2
+        assert {a.runs for a in pooled} == {8}
+        formulas = dict(zip(problems, (tiny_unsat(i) for i in range(4))))
+        sat_runs = 0
+        for r in report.records:
+            if r.pruner == "none":
+                assert r.status == "ok"
+                continue
+            pruned = random_prune(formulas[r.problem], 0.5, r.seed,
+                                  SatEngine()).pruned
+            if truth_table_satisfiable(pruned):
+                sat_runs += 1
+                assert r.status == "pruned_sat"
+                assert r.mus_count == 0 and r.enum_time == 0
+            else:
+                assert r.status == "ok"
+        assert 0 < sat_runs < 8
 
     def test_empty_problem_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -246,12 +276,20 @@ class TestExternalEnumerator:
         trace = make_enumerator(spec)(F1, 0.1)
         assert trace.muses == []
         assert not trace.exhausted
-        try:
-            with open(f"/proc/{int(pid_file.read_text())}/stat") as fh:
-                state = fh.read().rsplit(")", 1)[1].split()[0]
-        except FileNotFoundError:
-            state = "gone"
-        assert state in ("gone", "Z")  # Z: killed, not yet reaped
+        pid = int(pid_file.read_text())
+        # A SIGKILLed process reads R while it exits, then Z (killed, not
+        # yet reaped) or gone; one still running would stay in S.
+        deadline = time.monotonic() + 2.0
+        while True:
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    state = fh.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                state = "gone"
+            if state in ("gone", "Z") or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert state in ("gone", "Z")
 
     def test_failing_command_yields_unfinished_trace(self):
         spec = EnumeratorSpec(kind="external", command="false")
