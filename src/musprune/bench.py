@@ -4,8 +4,15 @@ wall-clock budget, with pruning time charged against the budget.
 A run prunes the problem, enumerates MUSes on the pruned formula for the
 remaining budget, lifts them back to the original clause indices, and
 audits a sample of the lifted MUSes for validity against the original
-formula. Reports aggregate the MUS counts as mean +/- standard error and
-serialize to CSV, JSON, or a markdown table.
+formula. ``run_pipeline`` times the whole pruner call, scoring included,
+and charges it to the budget.
+
+Each harness decision is made once, here: the pruner syntax and labels
+(``PrunerSpec.parse`` and ``label``, driven by one table), the
+enumerator (internal MARCO, or an external command template), and the
+report formats (``REPORT_FORMATS``: CSV, JSON, a markdown table, and
+per-problem scatter pairs against the first pruner). Reports aggregate
+the MUS counts as mean +/- standard error.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,37 +39,61 @@ from .pruning import (PruneOutcome, clause_length_prune, none_prune,
 from .sat import SatEngine
 
 
+# Pruner kind -> (the field its ":value" sets, that field's type, the
+# field's short name in labels); None for a kind that takes no value.
+_PRUNER_PARAMS = {
+    "none": None,
+    "model": ("k", int, "k"),
+    "clause_length": ("steps", int, "K"),
+    "var_freq": ("k", int, "k"),
+    "random": ("fraction", float, "f"),
+}
+
+
 @dataclass(frozen=True)
 class PrunerSpec:
-    kind: str = "none"             # none|model|clause_length|var_freq|random
+    kind: str = "none"             # a key of _PRUNER_PARAMS
     checkpoint: str | None = None  # model
     k: int = 10                    # model / var_freq threshold parameter
     steps: int = 100               # clause_length grid steps
     fraction: float = 0.1          # random
 
+    def __post_init__(self):
+        if self.kind not in _PRUNER_PARAMS:
+            raise ValueError(f"unknown pruner kind {self.kind!r}")
+        if self.kind == "model" and not self.checkpoint:
+            raise ValueError("model pruner requires a checkpoint path")
+
+    @classmethod
+    def parse(cls, text: str) -> "PrunerSpec":
+        """Read ``kind[:value]``, or ``model:<checkpoint>[:k]``; the value
+        sets the field that :meth:`label` shows."""
+        kind, _, value = text.partition(":")
+        given = {}
+        if kind == "model":
+            path, sep, k = value.rpartition(":")
+            path, value = (path, k) if sep and k.isdigit() else (value, "")
+            given["checkpoint"] = path
+        param = _PRUNER_PARAMS.get(kind)
+        if value:
+            if param is None:
+                raise ValueError(f"malformed pruner {text!r}")
+            given[param[0]] = param[1](value)
+        return cls(kind, **given)
+
     def label(self) -> str:
-        if self.kind == "model":
-            return f"model(k={self.k})"
-        if self.kind == "clause_length":
-            return f"clause_length(K={self.steps})"
-        if self.kind == "var_freq":
-            return f"var_freq(k={self.k})"
-        if self.kind == "random":
-            return f"random(f={self.fraction})"
-        return "none"
-
-
-@dataclass(frozen=True)
-class EnumeratorSpec:
-    kind: str = "internal_marco"   # internal_marco|external
-    command: str | None = None     # template with {dimacs} and {budget}
+        param = _PRUNER_PARAMS[self.kind]
+        if param is None:
+            return self.kind
+        return f"{self.kind}({param[2]}={getattr(self, param[0])})"
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     problems: tuple[str, ...]                  # DIMACS file paths
     pruners: tuple[PrunerSpec, ...] = (PrunerSpec(),)
-    enumerator: EnumeratorSpec = EnumeratorSpec()
+    # Template with {dimacs} and {budget}; None runs the internal MARCO.
+    external_command: str | None = None
     budgets: tuple[float, ...] = (1.0,)
     repetitions: int = 1
     seed: int = 0
@@ -71,6 +102,8 @@ class BenchConfig:
     def __post_init__(self):
         if not self.problems:
             raise ValueError("problem set is empty")
+        if self.external_command == "":
+            raise ValueError("external enumerator requires a command template")
         if any(b <= 0 for b in self.budgets):
             raise ValueError("budgets must be positive")
         if self.repetitions < 1:
@@ -127,37 +160,15 @@ def make_pruner(spec: PrunerSpec):
     if spec.kind == "random":
         return lambda formula, engine, seed: random_prune(
             formula, spec.fraction, seed, engine)
-    if spec.kind == "model":
-        if spec.checkpoint is None:
-            raise ValueError("model pruner requires a checkpoint path")
-        params = load_checkpoint(spec.checkpoint)
-
-        def model_pruner(formula, engine, seed):
-            start = time.perf_counter()
-            scores = score_clauses(params, formula, seed)
-            outcome = threshold_prune(formula, scores, spec.k, engine)
-            outcome.wall_time = time.perf_counter() - start
-            return outcome
-
-        return model_pruner
-    raise ValueError(f"unknown pruner kind {spec.kind!r}")
-
-
-def make_enumerator(spec: EnumeratorSpec):
-    """Build a callable enumerator(formula, budget) -> EnumerationTrace."""
-    if spec.kind == "internal_marco":
-        return enumerate_marco
-    if spec.kind == "external":
-        if not spec.command:
-            raise ValueError("external enumerator requires a command template")
-        return _external_enumerator(spec.command)
-    raise ValueError(f"unknown enumerator kind {spec.kind!r}")
+    params = load_checkpoint(spec.checkpoint)  # model
+    return lambda formula, engine, seed: threshold_prune(
+        formula, score_clauses(params, formula, seed), spec.k, engine)
 
 
 _MUS_LINE = re.compile(r"^\s*\d+(\s+\d+)*\s*$")
 
 
-def _external_enumerator(command_template: str):
+def external_enumerator(command_template: str):
     """Adapter for external enumerators invoked per problem.
 
     The command template receives {dimacs} (input path) and {budget}
@@ -211,15 +222,16 @@ def run_pipeline(problem: CnfFormula, pruner, enumerator, budget: float,
     engine = engine if engine is not None else SatEngine()
     record = RunRecord(problem="", pruner="", budget=budget,
                        repetition=0, seed=seed)
+    start = time.perf_counter()
     outcome = pruner(problem, engine, seed)
+    record.prune_time = time.perf_counter() - start
     record.kept_fraction = outcome.kept_fraction
     record.prune_sat_calls = outcome.sat_calls
-    record.prune_time = outcome.wall_time
     if not outcome.unsat:
         record.status = "pruned_sat"
         record.reason = "pruned formula is satisfiable"
         return record
-    remaining = budget - outcome.wall_time
+    remaining = budget - record.prune_time
     if remaining <= 0:
         record.reason = "budget consumed by pruning"
         return record
@@ -303,7 +315,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             problems.append((path, formula, ""))
 
     pruner_fns = [(spec.label(), make_pruner(spec)) for spec in config.pruners]
-    enumerator = make_enumerator(config.enumerator)
+    enumerator = (enumerate_marco if config.external_command is None
+                  else external_enumerator(config.external_command))
 
     records = []
     for pi, (path, formula, skip_reason) in enumerate(problems):
@@ -333,36 +346,28 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
 # ----------------------------------------------------------------------
 # report emission
 
-RECORD_COLUMNS = ["problem", "pruner", "budget", "repetition", "status",
-                  "reason", "mus_count", "kept_fraction", "prune_sat_calls",
-                  "prune_time", "enum_time", "seeds_tested", "exhausted",
-                  "audit_checked", "audit_ok", "seed"]
-AGGREGATE_COLUMNS = ["pruner", "budget", "repetition", "mean_mus",
-                     "stderr_mus", "runs"]
 # Fields that vary run to run on the same seed (excluded from
 # reproducibility comparisons).
 WALL_TIME_FIELDS = ("prune_time", "enum_time")
 
 
-def records_to_csv(report: BenchReport) -> str:
+def _csv_text(row_type, rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=RECORD_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(row_type)],
+                            lineterminator="\n")
     writer.writeheader()
-    for r in report.records:
-        writer.writerow({k: getattr(r, k) for k in RECORD_COLUMNS})
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def records_to_csv(report: BenchReport) -> str:
+    return _csv_text(RunRecord, [asdict(r) for r in report.records])
 
 
 def aggregates_to_csv(report: BenchReport) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=AGGREGATE_COLUMNS,
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in report.aggregates:
-        d = asdict(row)
-        d["repetition"] = "all" if row.repetition is None else row.repetition
-        writer.writerow(d)
-    return buf.getvalue()
+    return _csv_text(AggregateRow, [
+        {**asdict(a), "repetition": "all" if a.repetition is None
+         else a.repetition} for a in report.aggregates])
 
 
 def report_to_json(report: BenchReport) -> str:
@@ -431,30 +436,40 @@ def scatter_pairs(report: BenchReport, baseline: str | None = None) -> list[dict
     return rows
 
 
+def scatter_to_csv(report: BenchReport) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=[
+        "problem", "budget", "baseline", "pruner",
+        "baseline_count", "pruned_count"])
+    writer.writeheader()
+    writer.writerows(scatter_pairs(report))
+    return buf.getvalue()
+
+
+# Report format -> the (file suffix, renderer) pairs it writes.
+REPORT_FORMATS = {
+    "csv": (("records.csv", records_to_csv),
+            ("aggregates.csv", aggregates_to_csv)),
+    "json": (("report.json", report_to_json),),
+    "markdown": (("table.md", report_to_markdown),),
+    "scatter": (("scatter.csv", scatter_to_csv),),
+}
+
+
 def emit_report(report: BenchReport, formats, out_prefix: str) -> list[str]:
-    """Write the report in the requested formats; returns written paths."""
-    written = []
+    """Write the report in the requested formats (keys of
+    ``REPORT_FORMATS``); returns written paths."""
+    for fmt in formats:
+        if fmt not in REPORT_FORMATS:
+            raise ValueError(f"unknown report format {fmt!r}")
     out_dir = os.path.dirname(out_prefix)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    written = []
     for fmt in formats:
-        if fmt == "csv":
-            for suffix, text in (("records.csv", records_to_csv(report)),
-                                 ("aggregates.csv", aggregates_to_csv(report))):
-                path = f"{out_prefix}.{suffix}"
-                with open(path, "w") as fh:
-                    fh.write(text)
-                written.append(path)
-        elif fmt == "json":
-            path = f"{out_prefix}.report.json"
+        for suffix, render in REPORT_FORMATS[fmt]:
+            path = f"{out_prefix}.{suffix}"
             with open(path, "w") as fh:
-                fh.write(report_to_json(report))
+                fh.write(render(report))
             written.append(path)
-        elif fmt == "markdown":
-            path = f"{out_prefix}.table.md"
-            with open(path, "w") as fh:
-                fh.write(report_to_markdown(report))
-            written.append(path)
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
     return written

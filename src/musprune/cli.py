@@ -10,11 +10,11 @@ on success, 1 on contract violations, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
 import json
 import os
 import sys
+import time
 
 from . import bench as bench_mod
 from .cnf import clause_stats, parse_dimacs, write_dimacs
@@ -109,17 +109,17 @@ def _cmd_prune(args) -> int:
     engine = SatEngine()
     if engine.is_satisfiable(formula):
         raise CliError("input satisfiable: pruning targets UNSAT formulas")
-    pruner = bench_mod.make_pruner(bench_mod.PrunerSpec(
-        kind=args.method, checkpoint=args.checkpoint, k=args.k,
-        steps=args.steps, fraction=args.fraction))
+    pruner = bench_mod.make_pruner(bench_mod.PrunerSpec.parse(args.pruner))
+    start = time.perf_counter()
     outcome = pruner(formula, engine, args.seed)
+    wall_time = time.perf_counter() - start
     with open(args.out, "w") as fh:
         fh.write(write_dimacs(outcome.pruned))
     summary = {
         "method": outcome.method,
         "kept_fraction": outcome.kept_fraction,
         "sat_calls": outcome.sat_calls,
-        "wall_time": outcome.wall_time,
+        "wall_time": wall_time,
         "unsat": outcome.unsat,
         "index_map": outcome.index_map,
     }
@@ -146,66 +146,20 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _parse_pruner_specs(args) -> list[bench_mod.PrunerSpec]:
-    specs = []
-    for item in args.pruner:
-        kind, _, rest = item.partition(":")
-        if kind == "none":
-            specs.append(bench_mod.PrunerSpec(kind="none"))
-        elif kind == "model":
-            if not rest:
-                raise CliError("model pruner syntax: model:<checkpoint>[:k]")
-            parts = rest.rsplit(":", 1)
-            if len(parts) == 2 and parts[1].isdigit():
-                specs.append(bench_mod.PrunerSpec(
-                    kind="model", checkpoint=parts[0], k=int(parts[1])))
-            else:
-                specs.append(bench_mod.PrunerSpec(kind="model", checkpoint=rest))
-        elif kind == "clause_length":
-            steps = int(rest) if rest else 100
-            specs.append(bench_mod.PrunerSpec(kind="clause_length", steps=steps))
-        elif kind == "var_freq":
-            k = int(rest) if rest else 10
-            specs.append(bench_mod.PrunerSpec(kind="var_freq", k=k))
-        elif kind == "random":
-            fraction = float(rest) if rest else 0.1
-            specs.append(bench_mod.PrunerSpec(kind="random", fraction=fraction))
-        else:
-            raise CliError(f"unknown pruner {item!r}")
-    return specs
-
-
 def _cmd_bench(args) -> int:
-    problems = tuple(_problem_files(args.problems))
-    if args.external_command:
-        enumerator = bench_mod.EnumeratorSpec(kind="external",
-                                              command=args.external_command)
-    else:
-        enumerator = bench_mod.EnumeratorSpec()
     config = bench_mod.BenchConfig(
-        problems=problems,
-        pruners=tuple(_parse_pruner_specs(args)),
-        enumerator=enumerator,
+        problems=tuple(_problem_files(args.problems)),
+        pruners=tuple(bench_mod.PrunerSpec.parse(p) for p in args.pruner),
+        external_command=args.external_command,
         budgets=tuple(args.budgets),
         repetitions=args.repetitions,
         seed=args.seed,
         audit_sample=args.audit_sample,
     )
     report = bench_mod.run_benchmark(config)
-    written = bench_mod.emit_report(report, args.formats, args.out)
-    if args.scatter and len(config.pruners) > 1:
-        rows = bench_mod.scatter_pairs(report)
-        path = f"{args.out}.scatter.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[
-                "problem", "budget", "baseline", "pruner",
-                "baseline_count", "pruned_count"])
-            writer.writeheader()
-            writer.writerows(rows)
-        written.append(path)
-    bad_audits = [r for r in report.records if not r.audit_ok]
-    for path in written:
+    for path in bench_mod.emit_report(report, args.formats, args.out):
         print(f"wrote {path}")
+    bad_audits = [r for r in report.records if not r.audit_ok]
     if bad_audits:
         raise CliError(
             f"{len(bad_audits)} runs produced MUSes failing validation "
@@ -221,24 +175,20 @@ def _cmd_validate(args) -> int:
     if args.checkpoint:
         specs.append(bench_mod.PrunerSpec(kind="model",
                                           checkpoint=args.checkpoint))
-    pruners = [(spec.label(), bench_mod.make_pruner(spec)) for spec in specs]
-    engine = SatEngine()
+    report = bench_mod.run_benchmark(bench_mod.BenchConfig(
+        problems=tuple(files), pruners=tuple(specs), budgets=(args.budget,),
+        seed=args.seed, audit_sample=args.audit_sample))
     failures = []
+    for r in report.records:
+        if r.status not in ("ok", "skipped"):  # enum_error or pruned_sat
+            failures.append(f"{r.problem}: {r.pruner}: {r.reason}")
+        elif not r.audit_ok:
+            failures.append(f"{r.problem}: {r.pruner}: a lifted MUS is not "
+                            f"a MUS of the input")
+    skipped = {r.problem for r in report.records if r.status == "skipped"}
     for path in files:
-        formula = _read_formula(path)
-        if engine.is_satisfiable(formula):
-            print(f"{path}: skipped (satisfiable)")
-            continue
-        for label, pruner in pruners:
-            record = bench_mod.run_pipeline(
-                formula, pruner, enumerate_marco, args.budget, seed=args.seed,
-                engine=engine, audit_sample=args.audit_sample)
-            if record.status != "ok":  # enum_error or pruned_sat
-                failures.append(f"{path}: {label}: {record.reason}")
-            elif not record.audit_ok:
-                failures.append(f"{path}: {label}: a lifted MUS is not "
-                                f"a MUS of the input")
-        print(f"{path}: ok")
+        print(f"{path}: skipped (satisfiable)" if path in skipped
+              else f"{path}: ok")
     if failures:
         for line in failures:
             print(f"FAIL {line}", file=sys.stderr)
@@ -249,6 +199,10 @@ def _cmd_validate(args) -> int:
 
 # ----------------------------------------------------------------------
 # parser
+
+_PRUNER_HELP = ("none | model:<ckpt>[:k] | clause_length[:K] | var_freq[:k] | "
+               "random[:fraction]")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -297,12 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--outcome", help="outcome JSON path")
-    p.add_argument("--method", choices=["model", "clause_length", "var_freq",
-                                        "random"], default="model")
-    p.add_argument("--checkpoint")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--fraction", type=float, default=0.1)
+    p.add_argument("--pruner", required=True, help=_PRUNER_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_prune)
 
@@ -315,18 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run the benchmark harness")
     b.add_argument("--problems", required=True, help="directory of .cnf files")
     b.add_argument("--pruner", action="append", required=True,
-                   help="none | model:<ckpt>[:k] | clause_length[:K] | "
-                        "var_freq[:k] | random[:fraction] (repeatable)")
+                   help=_PRUNER_HELP + " (repeatable)")
     b.add_argument("--budgets", type=float, nargs="+", required=True)
     b.add_argument("--repetitions", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--audit-sample", type=int, default=3)
-    b.add_argument("--formats", nargs="+", default=["csv", "json", "markdown"])
+    b.add_argument("--formats", nargs="+", default=["csv", "json", "markdown"],
+                   choices=list(bench_mod.REPORT_FORMATS))
     b.add_argument("--out", required=True, help="output path prefix")
     b.add_argument("--external-command",
                    help="external enumerator template with {dimacs} {budget}")
-    b.add_argument("--scatter", action="store_true",
-                   help="emit per-problem baseline/pruned count pairs")
     b.set_defaults(func=_cmd_bench)
 
     v = sub.add_parser("validate", help="run invariant suites on problems")

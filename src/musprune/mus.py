@@ -157,13 +157,14 @@ def enumerate_marco(formula: CnfFormula, budget: float,
                     sink=None, engine: SatEngine | None = None) -> EnumerationTrace:
     """MARCO-style online MUS enumeration under a wall-clock budget.
 
-    Seeds come from a map solver over one selector per clause, solved with
-    true-preferring polarity so seeds are maximal. UNSAT seeds shrink to a
-    MUS (supersets then blocked); SAT seeds grow to a maximal satisfiable
-    subset (subsets then blocked). An UNSAT seed's shrink starts from the
-    core of the seed's own query. Stops when the map empties or, returning
-    the trace so far, when the budget runs out: every query, the first
-    full UNSAT check included, gets the deadline.
+    Seeds come from a map solver with one variable per clause, true when
+    the clause is left out, so the solver's default false phase makes
+    seeds maximal. UNSAT seeds shrink to a MUS (supersets then blocked);
+    SAT seeds grow to a maximal satisfiable subset (subsets then
+    blocked). An UNSAT seed's shrink starts from the core of the seed's
+    own query. Stops when the map empties or, returning the trace so far,
+    when the budget runs out: every query, the first full UNSAT check
+    included, gets the deadline.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -171,7 +172,7 @@ def enumerate_marco(formula: CnfFormula, budget: float,
     deadline = start + budget
     m = formula.num_clauses
     solver = _SubsetSolver(formula, engine)
-    map_solver = Solver(num_vars=m, default_phase=True)
+    map_solver = Solver(num_vars=m)
     trace = EnumerationTrace()
     try:
         if solver.unsat_core(range(m), deadline) is None:
@@ -181,12 +182,12 @@ def enumerate_marco(formula: CnfFormula, budget: float,
             if result.status != SAT:
                 trace.exhausted = result.status == UNSAT
                 break
-            seed = {j for j in range(m) if result.model[j + 1]}
+            seed = {j for j in range(m) if not result.model[j + 1]}
             trace.seeds_tested += 1
             core = solver.unsat_core(seed, deadline)
             if core is None:
                 mss = _grow_in(solver, seed, deadline)
-                map_solver.add_clause([j + 1 for j in range(m)
+                map_solver.add_clause([-(j + 1) for j in range(m)
                                        if j not in mss])
                 continue
             mus_set = _shrink_in(solver, core, deadline)
@@ -195,7 +196,7 @@ def enumerate_marco(formula: CnfFormula, budget: float,
             trace.timestamps.append(time.perf_counter() - start)
             if sink is not None:
                 sink(record)
-            map_solver.add_clause([-(j + 1) for j in sorted(mus_set)])
+            map_solver.add_clause([j + 1 for j in sorted(mus_set)])
     except _DeadlinePassed:
         pass
     return trace

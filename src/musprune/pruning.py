@@ -10,7 +10,6 @@ produce satisfiable output (recorded in the outcome).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ class PruneOutcome:
     index_map: list[int]        # kept position -> original clause index
     kept_fraction: float
     sat_calls: int
-    wall_time: float
     method: str
     unsat: bool                 # satisfiability status of the pruned formula
 
@@ -34,14 +32,13 @@ class PruneOutcome:
         return len(self.index_map) != 0 and self.kept_fraction < 1.0
 
 
-def _identity_outcome(formula: CnfFormula, method: str, sat_calls: int,
-                      wall_time: float) -> PruneOutcome:
+def _identity_outcome(formula: CnfFormula, method: str,
+                      sat_calls: int) -> PruneOutcome:
     return PruneOutcome(
         pruned=formula,
         index_map=list(range(formula.num_clauses)),
         kept_fraction=1.0,
         sat_calls=sat_calls,
-        wall_time=wall_time,
         method=method,
         unsat=True,  # inputs are required to be UNSAT
     )
@@ -49,7 +46,7 @@ def _identity_outcome(formula: CnfFormula, method: str, sat_calls: int,
 
 def none_prune(formula: CnfFormula, engine: SatEngine | None = None) -> PruneOutcome:
     """Identity pruner; useful as the no-pruning baseline."""
-    return _identity_outcome(formula, "none", 0, 0.0)
+    return _identity_outcome(formula, "none", 0)
 
 
 def _grid_search(formula: CnfFormula, scores: np.ndarray, levels,
@@ -60,7 +57,6 @@ def _grid_search(formula: CnfFormula, scores: np.ndarray, levels,
     acts as an untested UNSAT sentinel (the input must be UNSAT). Binary
     search, at most ceil(log2(len(levels))) SAT calls.
     """
-    start = time.perf_counter()
     calls_before = engine.calls
     lo, hi = 0, len(levels) - 1
     best = None
@@ -74,16 +70,14 @@ def _grid_search(formula: CnfFormula, scores: np.ndarray, levels,
             best = (pruned, index_map)
             hi = mid
     sat_calls = engine.calls - calls_before
-    wall = time.perf_counter() - start
     if best is None:
-        return _identity_outcome(formula, method, sat_calls, wall)
+        return _identity_outcome(formula, method, sat_calls)
     pruned, index_map = best
     return PruneOutcome(
         pruned=pruned,
         index_map=index_map,
         kept_fraction=pruned.num_clauses / formula.num_clauses,
         sat_calls=sat_calls,
-        wall_time=wall,
         method=method,
         unsat=True,
     )
@@ -107,7 +101,7 @@ def threshold_prune(formula: CnfFormula, scores, k: int,
     if scores.shape != (formula.num_clauses,):
         raise ValueError("score vector length does not match clause count")
     if formula.num_clauses == 0:
-        return _identity_outcome(formula, method, 0, 0.0)
+        return _identity_outcome(formula, method, 0)
     top = float(scores.max())
     lowest = top / k
     levels = [lowest + (top - lowest) * j / k for j in range(k + 1)]
@@ -123,14 +117,11 @@ def clause_length_prune(formula: CnfFormula, steps: int = 100,
         raise ValueError("steps must be >= 1")
     engine = engine if engine is not None else SatEngine()
     if formula.num_clauses == 0:
-        return _identity_outcome(formula, "clause_length", 0, 0.0)
+        return _identity_outcome(formula, "clause_length", 0)
     lengths = np.array([len(c) for c in formula.clauses], dtype=np.float64)
     l_min, l_max = int(lengths.min()), int(lengths.max())
-    if l_max - l_min <= steps:
-        levels = list(range(l_min, l_max + 1))
-    else:
-        grid = np.unique(np.rint(np.linspace(l_min, l_max, steps + 1)).astype(int))
-        levels = [int(x) for x in grid]
+    grid = np.unique(np.rint(np.linspace(l_min, l_max, steps + 1)).astype(int))
+    levels = [int(x) for x in grid]
     return _grid_search(formula, lengths, levels, engine, "clause_length")
 
 
@@ -162,7 +153,7 @@ def variable_frequency_prune(formula: CnfFormula, k: int = 10,
         raise ValueError("k must be >= 1")
     engine = engine if engine is not None else SatEngine()
     if formula.num_clauses == 0:
-        return _identity_outcome(formula, "var_freq", 0, 0.0)
+        return _identity_outcome(formula, "var_freq", 0)
     raw = variable_frequency_scores(formula)
     lo, hi = float(raw.min()), float(raw.max())
     if hi == lo:
@@ -183,8 +174,7 @@ def random_prune(formula: CnfFormula, fraction: float, seed,
     m = formula.num_clauses
     n_remove = int(fraction * m)
     if n_remove == 0:
-        return _identity_outcome(formula, "random", 0, 0.0)
-    start = time.perf_counter()
+        return _identity_outcome(formula, "random", 0)
     rng = np.random.default_rng(seed)
     removed = rng.choice(m, size=n_remove, replace=False)
     keep = np.ones(m, dtype=bool)
@@ -196,7 +186,6 @@ def random_prune(formula: CnfFormula, fraction: float, seed,
         index_map=index_map,
         kept_fraction=pruned.num_clauses / m,
         sat_calls=1,
-        wall_time=time.perf_counter() - start,
         method="random",
         unsat=unsat,
     )

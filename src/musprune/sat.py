@@ -66,9 +66,8 @@ def _luby(i: int) -> int:
 class Solver:
     """One stateful CDCL instance; not safe to share across threads."""
 
-    def __init__(self, num_vars: int = 0, default_phase: bool = False):
+    def __init__(self, num_vars: int = 0):
         self.ok = True
-        self.default_phase = bool(default_phase)
         self.num_vars = 0
         # Indexed by variable (1-based; slot 0 unused).
         self._assign: list[int] = [0]     # 0 free, 1 true, -1 false
@@ -102,7 +101,7 @@ class Solver:
         self._assign.append(0)
         self._level.append(0)
         self._reason.append(None)
-        self._phase.append(self.default_phase)
+        self._phase.append(False)
         self._activity.append(0.0)
         heappush(self._heap, (-0.0, self.num_vars))
         self._watches.append([])
@@ -129,24 +128,19 @@ class Solver:
         self._recorded.append(tuple(clause))
         if not self.ok:
             return
-        # Root-level simplification.
+        # Root-level simplification: every assignment is at level 0.
         simplified = []
         for lit in clause:
             val = self._value(lit)
-            if val == 1 and self._level[abs(lit)] == 0:
+            if val == 1:
                 return  # already satisfied forever
-            if val == -1 and self._level[abs(lit)] == 0:
-                continue  # falsified forever, drop literal
-            simplified.append(lit)
+            if val == 0:
+                simplified.append(lit)  # a false literal is dropped
         if not simplified:
             self.ok = False
             return
         if len(simplified) == 1:
-            lit = simplified[0]
-            if self._value(lit) == -1:
-                self.ok = False
-            elif self._value(lit) == 0:
-                self._enqueue(lit, None)
+            self._enqueue(simplified[0], None)
             return
         self._attach(simplified)
 

@@ -8,11 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from musprune.bench import (BenchConfig, EnumeratorSpec, PrunerSpec,
-                            RunRecord, aggregates_to_csv, make_enumerator,
+from musprune import pruning
+from musprune.bench import (BenchConfig, PrunerSpec, RunRecord,
+                            aggregates_to_csv, external_enumerator,
                             make_pruner, records_to_csv, report_to_json,
                             report_to_markdown, run_benchmark, run_pipeline,
-                            scatter_pairs, _aggregate)
+                            scatter_pairs, scatter_to_csv, _aggregate)
 from musprune.cnf import CnfFormula, write_dimacs
 from musprune.mus import (brute_force_muses, enumerate_marco,
                           truth_table_satisfiable)
@@ -78,14 +79,26 @@ class TestRunPipeline:
 
     def test_budget_consumed_by_pruning(self):
         def slow_pruner(formula, engine, seed):
-            from musprune.pruning import none_prune
-            out = none_prune(formula, engine)
-            out.wall_time = 10.0
-            return out
+            time.sleep(0.2)
+            return pruning.none_prune(formula, engine)
 
-        record = run_pipeline(F1, slow_pruner, enumerate_marco, 0.5, seed=0)
+        record = run_pipeline(F1, slow_pruner, enumerate_marco, 0.1, seed=0)
         assert record.mus_count == 0
         assert record.reason == "budget consumed by pruning"
+
+    def test_scoring_time_charged_to_budget(self, monkeypatch):
+        scores = pruning.variable_frequency_scores
+
+        def slow_scores(formula):
+            time.sleep(0.3)
+            return scores(formula)
+
+        monkeypatch.setattr(pruning, "variable_frequency_scores", slow_scores)
+        record = run_pipeline(F1, make_pruner(PrunerSpec(kind="var_freq")),
+                              enumerate_marco, 0.2, seed=0)
+        assert record.reason == "budget consumed by pruning"
+        assert record.prune_time >= 0.3
+        assert record.mus_count == 0
 
     def test_sat_formula_surfaces_enum_error(self):
         pruner = make_pruner(PrunerSpec(kind="none"))
@@ -93,6 +106,30 @@ class TestRunPipeline:
                               enumerate_marco, 1.0, seed=0)
         assert record.status == "enum_error"
         assert "satisfiable" in record.reason
+
+
+class TestPrunerSpec:
+    @pytest.mark.parametrize("text, spec, label", [
+        ("none", PrunerSpec(kind="none"), "none"),
+        ("clause_length:7", PrunerSpec(kind="clause_length", steps=7),
+         "clause_length(K=7)"),
+        ("var_freq:4", PrunerSpec(kind="var_freq", k=4), "var_freq(k=4)"),
+        ("random:0.35", PrunerSpec(kind="random", fraction=0.35),
+         "random(f=0.35)"),
+    ])
+    def test_parse_agrees_with_label(self, text, spec, label):
+        assert PrunerSpec.parse(text) == spec
+        assert spec.label() == label
+
+    @pytest.mark.parametrize("text, checkpoint, k", [
+        ("model:ckpt.npz", "ckpt.npz", 10),
+        ("model:ckpt.npz:12", "ckpt.npz", 12),
+        ("model:C:/runs/a:b.npz:3", "C:/runs/a:b.npz", 3),
+    ])
+    def test_parse_model(self, text, checkpoint, k):
+        spec = PrunerSpec.parse(text)
+        assert spec == PrunerSpec(kind="model", checkpoint=checkpoint, k=k)
+        assert spec.label() == f"model(k={k})"
 
 
 class TestRunBenchmark:
@@ -232,6 +269,16 @@ class TestReportFormats:
             assert row["pruner"] == "var_freq(k=10)"
             assert row["baseline_count"] >= 0
 
+    def test_scatter_format_rows_are_scatter_pairs(self, tmp_path):
+        report = self.make_report(tmp_path)
+        rows = list(csv.DictReader(io.StringIO(scatter_to_csv(report))))
+        assert rows == [{k: str(v) for k, v in pair.items()}
+                        for pair in scatter_pairs(report)]
+        single = run_benchmark(BenchConfig(
+            problems=report.config.problems, budgets=(5.0,), seed=0))
+        assert scatter_to_csv(single).splitlines() == [
+            "problem,budget,baseline,pruner,baseline_count,pruned_count"]
+
     def test_aggregates_csv_has_all_rows(self, tmp_path):
         report = self.make_report(tmp_path)
         text = aggregates_to_csv(report)
@@ -247,10 +294,8 @@ class TestExternalEnumerator:
             "print('0 1')\n"
             "print('1 2 3')\n"
             "print('done')\n")
-        spec = EnumeratorSpec(
-            kind="external",
-            command=f"{sys.executable} {script} {{dimacs}} {{budget}}")
-        enum = make_enumerator(spec)
+        enum = external_enumerator(
+            f"{sys.executable} {script} {{dimacs}} {{budget}}")
         trace = enum(F1, 5.0)
         assert [sorted(r.clause_indices) for r in trace.muses] == \
                [[0, 1], [1, 2, 3]]
@@ -258,11 +303,9 @@ class TestExternalEnumerator:
 
     def test_adapter_against_own_cli(self, tmp_path):
         # our own CLI speaks the declared output grammar
-        spec = EnumeratorSpec(
-            kind="external",
-            command=(f"{sys.executable} -m musprune.cli enumerate "
-                     f"--input {{dimacs}} --budget {{budget}} --quiet"))
-        enum = make_enumerator(spec)
+        enum = external_enumerator(
+            f"{sys.executable} -m musprune.cli enumerate "
+            f"--input {{dimacs}} --budget {{budget}} --quiet")
         trace = enum(F1, 10.0)
         got = {frozenset(r.clause_indices) for r in trace.muses}
         want = {r.clause_indices for r in brute_force_muses(F1)}
@@ -270,10 +313,8 @@ class TestExternalEnumerator:
 
     def test_timeout_kills_background_children(self, tmp_path):
         pid_file = tmp_path / "child.pid"
-        spec = EnumeratorSpec(
-            kind="external",
-            command=f"sleep 60 & echo $! > {pid_file}; wait")
-        trace = make_enumerator(spec)(F1, 0.1)
+        trace = external_enumerator(
+            f"sleep 60 & echo $! > {pid_file}; wait")(F1, 0.1)
         assert trace.muses == []
         assert not trace.exhausted
         pid = int(pid_file.read_text())
@@ -292,8 +333,7 @@ class TestExternalEnumerator:
         assert state in ("gone", "Z")
 
     def test_failing_command_yields_unfinished_trace(self):
-        spec = EnumeratorSpec(kind="external", command="false")
-        trace = make_enumerator(spec)(F1, 1.0)
+        trace = external_enumerator("false")(F1, 1.0)
         assert trace.muses == []
         assert not trace.exhausted
 

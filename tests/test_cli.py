@@ -67,7 +67,7 @@ class TestPrune:
     def test_sat_input_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "sat.cnf"
         path.write_text(SAT_TEXT)
-        code = main(["prune", "--input", str(path), "--method", "clause_length",
+        code = main(["prune", "--input", str(path), "--pruner", "clause_length",
                      "--out", str(tmp_path / "out.cnf")])
         assert code == 1
         assert "input satisfiable" in capsys.readouterr().err
@@ -75,7 +75,7 @@ class TestPrune:
     def test_clause_length_prune_outputs(self, tmp_path, f1_file):
         out = tmp_path / "pruned.cnf"
         outcome = tmp_path / "outcome.json"
-        code = main(["prune", "--input", f1_file, "--method", "clause_length",
+        code = main(["prune", "--input", f1_file, "--pruner", "clause_length",
                      "--out", str(out), "--outcome", str(outcome)])
         assert code == 0
         pruned = parse_dimacs(read_text(out))
@@ -86,9 +86,9 @@ class TestPrune:
         assert data["index_map"] == [0, 1, 3]
 
     @pytest.mark.parametrize("method, direct", [
-        (["--method", "var_freq", "--k", "4"],
+        (["--pruner", "var_freq:4"],
          lambda f: variable_frequency_prune(f, 4, SatEngine())),
-        (["--method", "random", "--fraction", "0.3", "--seed", "5"],
+        (["--pruner", "random:0.3", "--seed", "5"],
          lambda f: random_prune(f, 0.3, 5, SatEngine())),
     ])
     def test_baseline_matches_direct_call(self, tmp_path, method, direct):
@@ -105,8 +105,8 @@ class TestPrune:
         ckpt = tmp_path / "model.npz"
         train_small_model(problem_dir, ckpt)
         out = tmp_path / "pruned.cnf"
-        assert main(["prune", "--input", f1_file, "--method", "model",
-                     "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+        assert main(["prune", "--input", f1_file,
+                     "--pruner", f"model:{ckpt}", "--out", str(out)]) == 0
         pruned = parse_dimacs(read_text(out))
         assert pruned.num_clauses <= 4
 
@@ -137,7 +137,7 @@ class TestBench:
                      "--pruner", "none", "--pruner", "var_freq",
                      "--budgets", "5", "--repetitions", "2",
                      "--seed", seed, "--out", out_prefix,
-                     "--formats", "csv", "json", "markdown", "--scatter"])
+                     "--formats", "csv", "json", "markdown", "scatter"])
 
     def test_outputs_written(self, tmp_path, problem_dir):
         prefix = str(tmp_path / "report")
@@ -145,6 +145,13 @@ class TestBench:
         for suffix in ("records.csv", "aggregates.csv", "report.json",
                        "table.md", "scatter.csv"):
             assert os.path.exists(f"{prefix}.{suffix}"), suffix
+
+    @pytest.mark.parametrize("pruner", ["bogus", "model", "model:"])
+    def test_bad_pruner_exits_1(self, tmp_path, problem_dir, pruner, capsys):
+        assert main(["bench", "--problems", problem_dir, "--pruner", pruner,
+                     "--budgets", "1", "--out", str(tmp_path / "r")]) == 1
+        assert "pruner" in capsys.readouterr().err
+        assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
 
     def test_reports_reproducible_modulo_wall_time(self, tmp_path, problem_dir):
         pa, pb = str(tmp_path / "ra"), str(tmp_path / "rb")
