@@ -63,6 +63,12 @@ class PrunerSpec:
             raise ValueError(f"unknown pruner kind {self.kind!r}")
         if self.kind == "model" and not self.checkpoint:
             raise ValueError("model pruner requires a checkpoint path")
+        if self.k < 1:
+            raise ValueError(f"pruner {self.kind}: k must be >= 1")
+        if self.steps < 1:
+            raise ValueError(f"pruner {self.kind}: steps must be >= 1")
+        if not 0.0 <= self.fraction <= 1.0:
+            raise ValueError(f"pruner {self.kind}: fraction must be in [0, 1]")
 
     @classmethod
     def parse(cls, text: str) -> "PrunerSpec":

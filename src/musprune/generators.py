@@ -141,6 +141,7 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
         length = int(rng.choice(lengths, p=probs))
         clause = _sample_clause(rng, n, length)
         selector = session.add_variable()
+        session.set_non_decision(selector)  # occurs only negatively
         session.add_clause(clause + [-selector])
         found = model if _satisfies(model, clause) else session.model(
             committed_selectors + [selector])

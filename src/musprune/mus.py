@@ -55,9 +55,12 @@ class _SubsetSolver:
     """Incremental subset-satisfiability queries via one selector per clause.
 
     Clause j is guarded by selector variable num_vars+1+j; assuming the
-    selector true activates the clause, leaving it free lets the solver
-    disable it. The assumption core of an UNSAT answer maps back to the
-    clauses it activates.
+    selector true activates the clause. Selectors are non-decision
+    variables (they occur only negatively), so the solver never branches
+    on one: a selector not assumed stays unassigned unless propagated
+    false, and the clauses outside the subset cost no decisions. The
+    assumption core of an UNSAT answer maps back to the clauses it
+    activates.
     """
 
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
@@ -66,7 +69,8 @@ class _SubsetSolver:
         self._base = formula.num_vars
         self._session = self.engine.session(formula.num_vars + formula.num_clauses)
         for j, clause in enumerate(formula.clauses):
-            self._session.add_clause(list(clause) + [-(self._base + 1 + j)])
+            self._session.set_non_decision(self.selector(j))
+            self._session.add_clause(list(clause) + [-self.selector(j)])
 
     def selector(self, clause_index: int) -> int:
         return self._base + 1 + clause_index

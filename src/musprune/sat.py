@@ -8,6 +8,12 @@ popped), so each costs O(log n) amortised. Deterministic: ties in
 branching break toward the lowest variable index and there is no
 randomness anywhere.
 
+A variable can be taken out of the decision order (MiniSat's
+``setDecisionVar``); the answer is SAT once every decision variable is
+assigned at a propagation fixpoint, and a variable left unassigned reads
+false in the model. Clause selectors that occur only negatively are the
+intended use.
+
 Supports assumption literals (forced true for one query), incremental
 clause addition at the root level, and a per-query wall-clock deadline,
 whose passing is reported as UNKNOWN, distinct from SAT/UNSAT.
@@ -75,11 +81,13 @@ class Solver:
         self._reason: list[list[int] | None] = [None]
         self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
-        # Order heap of (-activity, variable) entries. Every free variable
-        # has an entry at its current activity. Between rebuilds,
+        self._decision: list[bool] = [False]
+        # Order heap of (-activity, variable) entries. Every free decision
+        # variable has an entry at its current activity. Between rebuilds,
         # activities only grow, so a variable's older entries rank below
-        # its newest one. Hence the least entry of a free variable is the
-        # free variable of highest activity, ties to the lowest index.
+        # its newest one. Hence the least entry of a free decision variable
+        # is the free decision variable of highest activity, ties to the
+        # lowest index.
         self._heap: list[tuple[float, int]] = []
         # Indexed by literal code 2v / 2v+1 (positive / negative).
         self._watches: list[list[list[int]]] = [[], []]
@@ -103,10 +111,23 @@ class Solver:
         self._reason.append(None)
         self._phase.append(False)
         self._activity.append(0.0)
+        self._decision.append(True)
         heappush(self._heap, (-0.0, self.num_vars))
         self._watches.append([])
         self._watches.append([])
         return self.num_vars
+
+    def set_non_decision(self, var: int) -> None:
+        """Take ``var`` out of the decision order for good.
+
+        The solver never branches on it; it is assigned only as an
+        assumption or by propagation, and reads false in a model when left
+        unassigned. That completion is sound only if ``var`` never occurs
+        positively in a clause: then no clause, problem or learned, holds
+        ``+var``, and a clause left with ``-var`` as its one unassigned
+        literal would already have propagated it.
+        """
+        self._decision[var] = False
 
     def add_clause(self, lits) -> None:
         """Add a problem clause. Duplicate literals are merged; tautologies
@@ -173,14 +194,15 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         lim = self._trail_lim[level]
-        heap, act = self._heap, self._activity
+        heap, act, decision = self._heap, self._activity, self._decision
         for i in range(len(self._trail) - 1, lim - 1, -1):
             lit = self._trail[i]
             v = abs(lit)
             self._phase[v] = lit > 0
             self._assign[v] = 0
             self._reason[v] = None
-            heappush(heap, (-act[v], v))
+            if decision[v]:
+                heappush(heap, (-act[v], v))
         del self._trail[lim:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
@@ -201,9 +223,9 @@ class Solver:
             self._heap_rebuild()
 
     def _heap_rebuild(self) -> None:
-        act, assign = self._activity, self._assign
+        act, assign, decision = self._activity, self._assign, self._decision
         self._heap = [(-act[v], v) for v in range(1, self.num_vars + 1)
-                      if assign[v] == 0]
+                      if assign[v] == 0 and decision[v]]
         heapify(self._heap)
 
     # ------------------------------------------------------------------
@@ -323,15 +345,19 @@ class Solver:
                     seen.add(w)
         return core
 
-    def _decide(self) -> None:
-        assign, heap = self._assign, self._heap
-        best = heappop(heap)[1]
-        while assign[best] != 0:
+    def _decide(self) -> bool:
+        """Branch on the best free decision variable; False if none is
+        left. Entries of assigned or non-decision variables are stale."""
+        assign, heap, decision = self._assign, self._heap, self._decision
+        while heap:
             best = heappop(heap)[1]
-        self.stats.decisions += 1
-        lit = best if self._phase[best] else -best
-        self._trail_lim.append(len(self._trail))
-        self._enqueue(lit, None)
+            if assign[best] == 0 and decision[best]:
+                self.stats.decisions += 1
+                lit = best if self._phase[best] else -best
+                self._trail_lim.append(len(self._trail))
+                self._enqueue(lit, None)
+                return True
+        return False
 
     def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
         """Decide satisfiability under the given assumption literals.
@@ -397,20 +423,21 @@ class Solver:
                 if val == 0:
                     self._enqueue(a, None)
                 continue
-            if len(self._trail) == self.num_vars:
+            if not self._decide():
                 model = {v: self._assign[v] == 1
                          for v in range(1, self.num_vars + 1)}
                 self._verify(model, assumptions)
                 self._backtrack(0)
                 return SatResult(SAT, model, self.stats)
-            self._decide()
 
     def _verify(self, model: dict[int, bool], assumptions) -> None:
-        for a in assumptions:
-            if model[abs(a)] != (a > 0):
-                raise AssertionError("internal: model violates an assumption")
+        """Check the model against the assumptions and every recorded
+        clause (an empty one never reaches here: it makes ``ok`` false)."""
+        true = {v if value else -v for v, value in model.items()}
+        if not true.issuperset(assumptions):
+            raise AssertionError("internal: model violates an assumption")
         for clause in self._recorded:
-            if clause and not any(model[abs(l)] == (l > 0) for l in clause):
+            if true.isdisjoint(clause):
                 raise AssertionError(
                     f"internal: model fails recorded clause {clause}"
                 )
@@ -454,6 +481,9 @@ class SolverSession:
 
     def add_variable(self) -> int:
         return self._solver.add_variable()
+
+    def set_non_decision(self, var: int) -> None:
+        self._solver.set_non_decision(var)
 
     def add_clause(self, lits) -> None:
         self._solver.add_clause(lits)

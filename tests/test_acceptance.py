@@ -330,15 +330,17 @@ class TestCriterion08TrainingEfficacy:
 class TestCriterion09EnumerationTrend:
     def test_pruning_does_not_hurt_at_one_second(self, trained_model):
         params, held = trained_model
+        import os
         import tempfile
         from musprune.model import save_checkpoint
-        with tempfile.NamedTemporaryFile(suffix=".npz", delete=False) as fh:
-            ckpt = fh.name
-        save_checkpoint(ckpt, params)
         base_counts, pruned_counts = [], []
         none_pruner = make_pruner(PrunerSpec(kind="none"))
-        model_pruner = make_pruner(PrunerSpec(kind="model", checkpoint=ckpt,
-                                              k=10))
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "model.npz")
+            save_checkpoint(ckpt, params)
+            # The checkpoint is read here, once.
+            model_pruner = make_pruner(PrunerSpec(kind="model",
+                                                  checkpoint=ckpt, k=10))
         for j, f in enumerate(held):
             rec_b = run_pipeline(f, none_pruner, enumerate_marco, 1.0,
                                  seed=j, engine=SatEngine(), audit_sample=0)

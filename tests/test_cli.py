@@ -146,10 +146,17 @@ class TestBench:
                        "table.md", "scatter.csv"):
             assert os.path.exists(f"{prefix}.{suffix}"), suffix
 
-    @pytest.mark.parametrize("pruner", ["bogus", "model", "model:"])
-    def test_bad_pruner_exits_1(self, tmp_path, problem_dir, pruner, capsys):
-        assert main(["bench", "--problems", problem_dir, "--pruner", pruner,
-                     "--budgets", "1", "--out", str(tmp_path / "r")]) == 1
+    @pytest.mark.parametrize("pruner", [
+        "bogus", "model", "model:", "var_freq:0", "clause_length:0",
+        "random:1.5", "model:ckpt.npz:0"])
+    def test_bad_pruner_exits_1(self, tmp_path, problem_dir, pruner, capsys,
+                                monkeypatch):
+        def no_run(config):
+            raise AssertionError("benchmark ran")
+        monkeypatch.setattr(bench, "run_benchmark", no_run)
+        assert main(["bench", "--problems", problem_dir, "--pruner", "none",
+                     "--pruner", pruner, "--budgets", "1",
+                     "--out", str(tmp_path / "r")]) == 1
         assert "pruner" in capsys.readouterr().err
         assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
 

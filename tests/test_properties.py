@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from musprune import sat
 from musprune.cnf import CnfFormula
-from musprune.mus import (brute_force_muses, enumerate_marco, is_mus, shrink,
-                          truth_table_satisfiable)
+from musprune.mus import (_SubsetSolver, brute_force_muses, enumerate_marco,
+                          is_mus, shrink, truth_table_satisfiable)
 from musprune.sat import SAT, UNKNOWN, UNSAT, Solver
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150,
@@ -148,42 +148,125 @@ class TestCdcl:
         assert not truth_table_satisfiable(with_units(f, r.core))
 
 
+@st.composite
+def guarded(draw):
+    """A formula, assumption literals over its variables, and k selectors
+    n+1..n+k: clause j is guarded by the negations of one or two of them
+    (``guards[j]``) and is active when all of those are assumed."""
+    f, lits = draw(with_assumptions(st.one_of(formulas(), three_sat())))
+    n = f.num_vars
+    selector = st.integers(n + 1, n + draw(st.integers(1, f.num_clauses + 1)))
+    guards = [sorted(draw(st.frozensets(selector, min_size=1, max_size=2)))
+              for _ in f.clauses]
+    assumed = sorted(draw(st.frozensets(selector)))
+    return f, lits, guards, assumed
+
+
+def guarded_solver(f, guards, assumed):
+    """A solver over ``f``'s clauses with their guards, every selector
+    marked non-decision."""
+    solver = Solver(num_vars=max([f.num_vars, *assumed, *sum(guards, [])]))
+    for s in range(f.num_vars + 1, solver.num_vars + 1):
+        solver.set_non_decision(s)
+    for clause, g in zip(f.clauses, guards):
+        solver.add_clause(list(clause) + [-s for s in g])
+    return solver
+
+
 class TestDecisionHeap:
     @SETTINGS
-    @given(with_assumptions(st.one_of(formulas(), three_sat())),
+    @given(st.one_of(with_assumptions(st.one_of(formulas(), three_sat()))
+                     .map(lambda case: (*case, None, [])), guarded()),
            st.sampled_from([sat._ACTIVITY_RESCALE, 2.0]))
     # Rescales while bumped variables are free, which drawn formulas
     # reach only now and then.
-    @example(case=(random_3sat(20, 86, 3), []), rescale=2.0)
+    @example(case=(random_3sat(20, 86, 3), [], None, []), rescale=2.0)
     def test_pick_equals_linear_scan(self, case, rescale):
-        """Every decision is the free variable of highest activity, ties
-        to the lowest index; every free variable has an entry at its
-        current activity, and the heap never holds more than 2 * num_vars
-        entries. A low rescale threshold exercises the rebuild after
-        rescaling; a variable added between queries joins the heap."""
-        f, assumptions = case
+        """Every decision is the free decision variable of highest
+        activity, ties to the lowest index, and the answer is SAT only
+        when no free decision variable is left; every free decision
+        variable has an entry at its current activity, and the heap never
+        holds more than 2 * num_vars entries. A low rescale threshold
+        exercises the rebuild after rescaling; a variable added between
+        queries joins the heap. Guarded cases add non-decision
+        selectors, some of them assumed."""
+        f, lits, guards, assumed = case
         decide = Solver._decide
 
         def checked(self):
             free = [v for v in range(1, self.num_vars + 1)
-                    if self._assign[v] == 0]
-            best = max(free, key=lambda v: (self._activity[v], -v))
+                    if self._assign[v] == 0 and self._decision[v]]
             entries = set(self._heap)
             assert all((-self._activity[v], v) in entries for v in free)
             assert len(self._heap) <= 2 * self.num_vars
-            decide(self)
-            assert abs(self._trail[-1]) == best
+            decided = decide(self)
+            assert decided == bool(free)
+            if free:
+                best = max(free, key=lambda v: (self._activity[v], -v))
+                assert abs(self._trail[-1]) == best
             assert len(self._heap) <= 2 * self.num_vars
+            return decided
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Solver, "_decide", checked)
             mp.setattr(sat, "_ACTIVITY_RESCALE", rescale)
-            solver = make_solver(f)
-            solver.solve(assumptions)
+            solver = (make_solver(f) if guards is None
+                      else guarded_solver(f, guards, assumed))
+            solver.solve(lits + assumed)
             extra = solver.add_variable()
             solver.add_clause([extra, -1])
             solver.solve()
         assert len(solver._heap) <= 2 * solver.num_vars
+
+
+class TestNonDecisionSelectors:
+    @SETTINGS
+    @given(guarded(), st.booleans())
+    def test_models_satisfy_guarded_clauses(self, case, give_up):
+        """With selectors that occur only negatively marked non-decision,
+        the answer agrees with the truth table on the active clauses, and
+        a SAT model, unassigned selectors read false, satisfies every
+        guarded clause and every assumption."""
+        f, lits, guards, assumed = case
+        solver = guarded_solver(f, guards, assumed)
+        assumptions = lits + assumed
+        r = solver.solve(assumptions,
+                         time.perf_counter() if give_up else None)
+        if r.status == UNKNOWN:
+            r = solver.solve(assumptions)
+        active = CnfFormula(f.num_vars, [c for c, g in zip(f.clauses, guards)
+                                         if set(g) <= set(assumed)])
+        assert (r.status == SAT) == truth_table_satisfiable(
+            with_units(active, lits))
+        if r.status == SAT:
+            assert satisfies(r.model, [list(c) + [-s for s in g]
+                                       for c, g in zip(f.clauses, guards)])
+            assert all(r.model[abs(a)] == (a > 0) for a in assumptions)
+
+    @SETTINGS
+    @given(small_unsat(), st.data())
+    def test_subset_queries_never_decide_a_selector(self, f, data):
+        """Every variable a subset query branches on is a variable of the
+        formula, never a clause selector."""
+        picks = []
+        decide = Solver._decide
+
+        def recorded(self):
+            depth = len(self._trail_lim)
+            decided = decide(self)
+            if len(self._trail_lim) > depth:
+                picks.append(abs(self._trail[-1]))
+            return decided
+
+        subsets = data.draw(st.lists(
+            st.sets(st.integers(0, f.num_clauses - 1)), min_size=1,
+            max_size=8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Solver, "_decide", recorded)
+            solver = _SubsetSolver(f)
+            for subset in subsets:
+                solver.unsat_core(subset)
+        assert all(v <= f.num_vars for v in picks)
 
 
 class TestMus:
