@@ -19,7 +19,9 @@ print("satisfiable?", engine.is_satisfiable(f1))  # False
 # A satisfiable variant: drop the clause (-1).
 sat_variant = CnfFormula(2, [[1], [1, 2], [-2]])
 result = engine.solve(sat_variant)
-print("variant status:", result.status, "model:", result.model)
+# A model is the set of true literals, one per variable.
+print("variant status:", result.status,
+      "model:", sorted(result.model, key=abs))  # [1, -2]
 print("solver stats:", result.stats)
 
 # Assumptions force literals true for one query without changing the

@@ -78,9 +78,9 @@ def _clause_length(rng, bernoulli_p: float, geometric_p: float) -> int:
     return 2 + bern + geo
 
 
-def _satisfies(model: dict[int, bool] | None, clause) -> bool:
+def _satisfies(model: set[int] | None, clause) -> bool:
     """True iff ``model`` (None: no model yet) makes a literal true."""
-    return model is not None and any(model[abs(l)] == (l > 0) for l in clause)
+    return model is not None and not model.isdisjoint(clause)
 
 
 def gen_sr_random(n_vars: int, bernoulli_p: float = 0.3,
@@ -140,9 +140,7 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
     while len(clauses) < lower_bound:
         length = int(rng.choice(lengths, p=probs))
         clause = _sample_clause(rng, n, length)
-        selector = session.add_variable()
-        session.set_non_decision(selector)  # occurs only negatively
-        session.add_clause(clause + [-selector])
+        selector = session.add_guarded_clause(clause)
         found = model if _satisfies(model, clause) else session.model(
             committed_selectors + [selector])
         if found is not None:

@@ -65,6 +65,10 @@ class ModelParams:
 
 
 _RELATIONS = ("lit_to_clause", "clause_to_lit", "negation")
+# The transpose of each relation's adjacency is its adjoint's adjacency:
+# clause->literal reverses literal->clause, and negation is symmetric.
+_ADJOINT = {"lit_to_clause": "clause_to_lit", "clause_to_lit": "lit_to_clause",
+            "negation": "negation"}
 
 
 def _layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
@@ -219,8 +223,7 @@ def _backward_from_logits(params: ModelParams, cache, d_logits):
     grads["head.w1"] = d_pre1.T @ z_cls
     d_zcls = d_pre1 @ t["head.w1"]
 
-    lit, cls = cache["lit"], cache["cls"]
-    adj_t = {rel: a.T.tocsr() for rel, a in cache["adj"].items()}
+    lit, cls, adj = cache["lit"], cache["cls"], cache["adj"]
     num_nodes = cache["inputs"][0].shape[0]
     d_h = np.zeros((num_nodes, cfg.hidden_dim))
     d_h[cls] = d_zcls
@@ -235,7 +238,7 @@ def _backward_from_logits(params: ModelParams, cache, d_logits):
         d_h_next[lit] = d_pre[lit] @ t[f"gnn{l}.self_lit"]
         d_h_next[cls] = d_pre[cls] @ t[f"gnn{l}.self_cls"]
         for rel in _RELATIONS:
-            back = adj_t[rel] @ d_pre
+            back = adj[_ADJOINT[rel]] @ d_pre
             grads[f"gnn{l}.{rel}"] = back.T @ h_in
             d_h_next += back @ t[f"gnn{l}.{rel}"]
         d_h = d_h_next
@@ -270,13 +273,22 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Load a :func:`save_checkpoint` file; ValueError if it is not one."""
     with np.load(path) as data:
+        if "__meta__" not in data.files:
+            raise ValueError(f"{path}: not a checkpoint (no __meta__ entry)")
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {meta.get('format_version')}"
             )
-        config = ModelConfig(**meta["config"])
+        fields = meta.get("config")
+        if not isinstance(fields, dict):
+            raise ValueError(f"{path}: checkpoint has no model config")
+        try:  # unknown keys and values of the wrong type
+            config = ModelConfig(**fields)
+        except TypeError as exc:
+            raise ValueError(f"{path}: bad model config: {exc}") from None
         tensors = {
             k[len("tensor/"):]: data[k]
             for k in data.files if k.startswith("tensor/")

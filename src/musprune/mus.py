@@ -54,26 +54,20 @@ class _DeadlinePassed(Exception):
 class _SubsetSolver:
     """Incremental subset-satisfiability queries via one selector per clause.
 
-    Clause j is guarded by selector variable num_vars+1+j; assuming the
-    selector true activates the clause. Selectors are non-decision
-    variables (they occur only negatively), so the solver never branches
-    on one: a selector not assumed stays unassigned unless propagated
-    false, and the clauses outside the subset cost no decisions. The
-    assumption core of an UNSAT answer maps back to the clauses it
-    activates.
+    Each clause is added as a guarded clause; assuming its selector
+    activates it. The solver never branches on a selector, so a selector
+    not assumed stays unassigned unless propagated false, and the clauses
+    outside the subset cost no decisions. The assumption core of an UNSAT
+    answer maps back to the clauses it activates.
     """
 
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
         self.engine = engine if engine is not None else SatEngine()
         self.num_clauses = formula.num_clauses
-        self._base = formula.num_vars
-        self._session = self.engine.session(formula.num_vars + formula.num_clauses)
-        for j, clause in enumerate(formula.clauses):
-            self._session.set_non_decision(self.selector(j))
-            self._session.add_clause(list(clause) + [-self.selector(j)])
-
-    def selector(self, clause_index: int) -> int:
-        return self._base + 1 + clause_index
+        self._session = self.engine.session(formula.num_vars)
+        self._selectors = [self._session.add_guarded_clause(clause)
+                           for clause in formula.clauses]
+        self._clause_of = {s: j for j, s in enumerate(self._selectors)}
 
     def unsat_core(self, subset, deadline: float | None = None) -> set[int] | None:
         """An UNSAT subset of ``subset``, or None if ``subset`` is SAT.
@@ -83,7 +77,7 @@ class _SubsetSolver:
         """
         if deadline is not None and time.perf_counter() >= deadline:
             raise _DeadlinePassed("deadline passed")
-        assumptions = [self.selector(j) for j in sorted(subset)]
+        assumptions = [self._selectors[j] for j in sorted(subset)]
         result = self._session.solve(assumptions, deadline)
         if result.status == UNKNOWN:
             raise _DeadlinePassed("deadline passed")
@@ -91,7 +85,7 @@ class _SubsetSolver:
             return None
         if result.core is None:
             raise AssertionError("internal: UNSAT subset answer without a core")
-        return {s - self._base - 1 for s in result.core}
+        return {self._clause_of[s] for s in result.core}
 
 
 def _check_indices(formula: CnfFormula, subset) -> frozenset[int]:
@@ -186,7 +180,7 @@ def enumerate_marco(formula: CnfFormula, budget: float,
             if result.status != SAT:
                 trace.exhausted = result.status == UNSAT
                 break
-            seed = {j for j in range(m) if not result.model[j + 1]}
+            seed = {j for j in range(m) if -(j + 1) in result.model}
             trace.seeds_tested += 1
             core = solver.unsat_core(seed, deadline)
             if core is None:

@@ -8,11 +8,12 @@ popped), so each costs O(log n) amortised. Deterministic: ties in
 branching break toward the lowest variable index and there is no
 randomness anywhere.
 
-A variable can be taken out of the decision order (MiniSat's
-``setDecisionVar``); the answer is SAT once every decision variable is
-assigned at a propagation fixpoint, and a variable left unassigned reads
-false in the model. Clause selectors that occur only negatively are the
-intended use.
+A guarded clause ``lits or not s`` gets a fresh selector ``s``, active
+when ``s`` is assumed. Selectors stay out of the decision order
+(MiniSat's ``setDecisionVar``): the answer is SAT once every decision
+variable is assigned at a propagation fixpoint. A SAT answer's model is
+the set of true literals, one per variable; an unassigned selector
+appears negated, which is sound because selectors occur only negatively.
 
 Supports assumption literals (forced true for one query), incremental
 clause addition at the root level, and a per-query wall-clock deadline,
@@ -51,7 +52,7 @@ class SatResult:
     the clauses alone (no assumption needed) and UNKNOWN carry none."""
 
     status: str
-    model: dict[int, bool] | None
+    model: set[int] | None
     stats: SolveStats = field(default_factory=SolveStats)
     core: list[int] | None = None
 
@@ -117,17 +118,21 @@ class Solver:
         self._watches.append([])
         return self.num_vars
 
-    def set_non_decision(self, var: int) -> None:
-        """Take ``var`` out of the decision order for good.
+    def add_guarded_clause(self, lits) -> int:
+        """Add ``lits or not s`` for a fresh selector ``s`` and return ``s``;
+        assuming ``s`` activates the clause.
 
-        The solver never branches on it; it is assigned only as an
-        assumption or by propagation, and reads false in a model when left
-        unassigned. That completion is sound only if ``var`` never occurs
-        positively in a clause: then no clause, problem or learned, holds
-        ``+var``, and a clause left with ``-var`` as its one unassigned
-        literal would already have propagated it.
+        The solver never branches on ``s``: it is assigned only as an
+        assumption or by propagation, and reads false when left unassigned.
+        That completion is sound because ``s`` occurs only negatively: no
+        clause, problem or learned, holds ``+s``, and a clause left with
+        ``-s`` as its one unassigned literal would already have propagated.
+        Callers keep it so by adding no clause that holds ``+s``.
         """
-        self._decision[var] = False
+        selector = self.add_variable()
+        self._decision[selector] = False
+        self.add_clause([*lits, -selector])
+        return selector
 
     def add_clause(self, lits) -> None:
         """Add a problem clause. Duplicate literals are merged; tautologies
@@ -424,20 +429,20 @@ class Solver:
                     self._enqueue(a, None)
                 continue
             if not self._decide():
-                model = {v: self._assign[v] == 1
+                assign = self._assign
+                model = {v if assign[v] == 1 else -v
                          for v in range(1, self.num_vars + 1)}
                 self._verify(model, assumptions)
                 self._backtrack(0)
                 return SatResult(SAT, model, self.stats)
 
-    def _verify(self, model: dict[int, bool], assumptions) -> None:
+    def _verify(self, model: set[int], assumptions) -> None:
         """Check the model against the assumptions and every recorded
         clause (an empty one never reaches here: it makes ``ok`` false)."""
-        true = {v if value else -v for v, value in model.items()}
-        if not true.issuperset(assumptions):
+        if not model.issuperset(assumptions):
             raise AssertionError("internal: model violates an assumption")
         for clause in self._recorded:
-            if true.isdisjoint(clause):
+            if model.isdisjoint(clause):
                 raise AssertionError(
                     f"internal: model fails recorded clause {clause}"
                 )
@@ -468,30 +473,19 @@ class SatEngine:
         return SolverSession(self, num_vars)
 
 
-class SolverSession:
-    """Incremental solving session backed by one persistent solver.
-
-    Clause additions are permanent; use assumptions for retractable
-    constraints. Solve calls count against the owning engine.
-    """
+class SolverSession(Solver):
+    """Incremental solver whose solve calls count against the owning
+    engine. Clause additions are permanent; use assumptions for
+    retractable constraints."""
 
     def __init__(self, engine: SatEngine, num_vars: int):
+        super().__init__(num_vars)
         self._engine = engine
-        self._solver = Solver(num_vars=num_vars)
-
-    def add_variable(self) -> int:
-        return self._solver.add_variable()
-
-    def set_non_decision(self, var: int) -> None:
-        self._solver.set_non_decision(var)
-
-    def add_clause(self, lits) -> None:
-        self._solver.add_clause(lits)
 
     def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
         self._engine.calls += 1
-        return self._solver.solve(assumptions, deadline)
+        return super().solve(assumptions, deadline)
 
-    def model(self, assumptions=()) -> dict[int, bool] | None:
+    def model(self, assumptions=()) -> set[int] | None:
         """A model under the assumptions, or None if there is none."""
         return self.solve(assumptions).model

@@ -110,6 +110,38 @@ class TestPrune:
         pruned = parse_dimacs(read_text(out))
         assert pruned.num_clauses <= 4
 
+    def test_checkpoint_without_meta_is_an_error(self, tmp_path, f1_file,
+                                                  capsys):
+        ckpt = tmp_path / "plain.npz"
+        np.savez(ckpt, weights=np.zeros(3))
+        assert main(["prune", "--input", f1_file, "--pruner", f"model:{ckpt}",
+                     "--out", str(tmp_path / "out.cnf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "__meta__" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta["config"].update(dropout=0.5), "dropout"),
+        (lambda meta: meta["config"].update(num_layers="2"), "bad model config"),
+        (lambda meta: meta.pop("config"), "no model config"),
+    ], ids=["unknown_key", "wrong_type", "no_config"])
+    def test_checkpoint_with_bad_config_is_an_error(
+            self, tmp_path, problem_dir, capsys, edit, message):
+        ckpt = tmp_path / "model.npz"
+        train_small_model(problem_dir, ckpt)
+        capsys.readouterr()
+        with np.load(ckpt) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        edit(meta)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        assert main(["bench", "--problems", problem_dir,
+                     "--pruner", f"model:{ckpt}", "--budgets", "1",
+                     "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestGenerate:
     def test_corpus_written(self, tmp_path):

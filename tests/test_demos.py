@@ -1,22 +1,24 @@
 """The demos still run against the package.
 
 Demos 01-04 take about a second together and run here in a child
-process. Demos 05 (training, 1-2 min) and 06 (benchmark, about 18 s) are
-too slow for the unit suite; for them every name imported from the
-package is checked to resolve, so a rename or deletion fails here.
+process, as does the README's quick start. Demos 05 (training, 1-2 min)
+and 06 (benchmark, about 18 s) are too slow for the unit suite; for them
+every name imported from the package is checked to resolve, so a rename
+or deletion fails here.
 """
 
 import ast
 import glob
 import importlib
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "demos")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
 
 
 def demo(prefix):
@@ -48,3 +50,13 @@ def test_slow_demo_imports_resolve(prefix):
     for module_name, name in uses:
         assert hasattr(importlib.import_module(module_name), name), \
             (module_name, name)
+
+
+def test_readme_quick_start_runs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        (code,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    check = "\nassert muses\nprint(len(muses))\n"
+    result = subprocess.run([sys.executable, "-c", code + check],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.split()[-1]) > 0

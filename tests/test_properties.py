@@ -4,17 +4,24 @@ Settings are deterministic (derandomized, no example database) so every
 run draws the same examples.
 """
 
+import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from musprune import sat
-from musprune.cnf import CnfFormula
+from musprune.cnf import (CnfFormula, DimacsFormatError, parse_dimacs,
+                          write_dimacs)
+from musprune.lcg import build_lcg, make_input_features
+from musprune.model import ModelConfig, forward, init_params
 from musprune.mus import (_SubsetSolver, brute_force_muses, enumerate_marco,
-                          is_mus, shrink, truth_table_satisfiable)
+                          is_mus, lift_muses, shrink, truth_table_satisfiable)
+from musprune.pruning import (clause_length_prune, threshold_prune,
+                              variable_frequency_prune)
 from musprune.sat import SAT, UNKNOWN, UNSAT, Solver
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150,
@@ -89,7 +96,7 @@ def solve_or_give_up(f, assumptions, give_up):
 
 
 def satisfies(model, clauses):
-    return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+    return all(not model.isdisjoint(c) for c in clauses)
 
 
 @st.composite
@@ -102,7 +109,7 @@ def small_unsat(draw):
             model = sat.SatEngine().solve(f).model
             v = draw(st.integers(1, f.num_vars))
             f = CnfFormula(f.num_vars,
-                           list(f.clauses) + [[-v if model[v] else v]])
+                           list(f.clauses) + [[-v if v in model else v]])
     return f
 
 
@@ -117,7 +124,7 @@ class TestCdcl:
         assert (r.status == SAT) == expected
         if r.status == SAT:
             assert satisfies(r.model, f.clauses)
-            assert all(r.model[abs(a)] == (a > 0) for a in assumptions)
+            assert r.model.issuperset(assumptions)
 
     @SETTINGS
     @given(with_assumptions(), st.lists(st.integers(0, 44), max_size=6))
@@ -164,10 +171,12 @@ def guarded(draw):
 
 def guarded_solver(f, guards, assumed):
     """A solver over ``f``'s clauses with their guards, every selector
-    marked non-decision."""
+    out of the decision order. Guards may be shared or doubled, which
+    ``Solver.add_guarded_clause`` never builds, so the private decision
+    flag is set directly."""
     solver = Solver(num_vars=max([f.num_vars, *assumed, *sum(guards, [])]))
     for s in range(f.num_vars + 1, solver.num_vars + 1):
-        solver.set_non_decision(s)
+        solver._decision[s] = False
     for clause, g in zip(f.clauses, guards):
         solver.add_clause(list(clause) + [-s for s in g])
     return solver
@@ -219,6 +228,20 @@ class TestDecisionHeap:
         assert len(solver._heap) <= 2 * solver.num_vars
 
 
+def recording_decide(picks):
+    """``Solver._decide`` that appends every variable it branches on to
+    ``picks``."""
+    decide = Solver._decide
+
+    def recorded(self):
+        depth = len(self._trail_lim)
+        decided = decide(self)
+        if len(self._trail_lim) > depth:
+            picks.append(abs(self._trail[-1]))
+        return decided
+    return recorded
+
+
 class TestNonDecisionSelectors:
     @SETTINGS
     @given(guarded(), st.booleans())
@@ -241,7 +264,37 @@ class TestNonDecisionSelectors:
         if r.status == SAT:
             assert satisfies(r.model, [list(c) + [-s for s in g]
                                        for c, g in zip(f.clauses, guards)])
-            assert all(r.model[abs(a)] == (a > 0) for a in assumptions)
+            assert r.model.issuperset(assumptions)
+
+    @SETTINGS
+    @given(with_assumptions(st.one_of(formulas(), three_sat())), st.data())
+    def test_add_guarded_clause(self, case, data):
+        """Each clause gets a fresh selector after the formula's variables;
+        the solver never branches on one, the answer agrees with the truth
+        table on the clauses whose selectors are assumed, and a SAT model
+        holds one literal per variable and satisfies every guarded
+        clause."""
+        f, lits = case
+        solver = Solver(num_vars=f.num_vars)
+        selectors = [solver.add_guarded_clause(c) for c in f.clauses]
+        n = f.num_vars
+        assert selectors == list(range(n + 1, n + 1 + f.num_clauses))
+        active = data.draw(st.sets(st.sampled_from(range(f.num_clauses)))
+                           if f.num_clauses else st.just(set()))
+        picks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Solver, "_decide", recording_decide(picks))
+            r = solver.solve(lits + [selectors[j] for j in sorted(active)])
+        assert all(v <= n for v in picks)
+        subset = CnfFormula(n, [f.clauses[j] for j in sorted(active)])
+        assert (r.status == SAT) == truth_table_satisfiable(
+            with_units(subset, lits))
+        if r.status == SAT:
+            assert {abs(lit) for lit in r.model} == set(
+                range(1, solver.num_vars + 1))
+            assert len(r.model) == solver.num_vars
+            assert satisfies(r.model, [list(c) + [-s] for c, s
+                                       in zip(f.clauses, selectors)])
 
     @SETTINGS
     @given(small_unsat(), st.data())
@@ -249,20 +302,11 @@ class TestNonDecisionSelectors:
         """Every variable a subset query branches on is a variable of the
         formula, never a clause selector."""
         picks = []
-        decide = Solver._decide
-
-        def recorded(self):
-            depth = len(self._trail_lim)
-            decided = decide(self)
-            if len(self._trail_lim) > depth:
-                picks.append(abs(self._trail[-1]))
-            return decided
-
         subsets = data.draw(st.lists(
             st.sets(st.integers(0, f.num_clauses - 1)), min_size=1,
             max_size=8))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Solver, "_decide", recorded)
+            mp.setattr(Solver, "_decide", recording_decide(picks))
             solver = _SubsetSolver(f)
             for subset in subsets:
                 solver.unsat_core(subset)
@@ -289,3 +333,86 @@ class TestMus:
         record = shrink(f, seed)
         assert record.clause_indices <= seed
         assert is_mus(f, record.clause_indices)
+
+
+def check_pruning(f, outcome, k):
+    """The pruner contracts: the SAT-call bound, a pruned formula that is
+    the induced sub-formula and UNSAT when it differs from the input, and
+    MUSes of the pruned formula that lift to MUSes of the input."""
+    assert outcome.sat_calls <= math.ceil(math.log2(k + 1)) + 1
+    assert outcome.unsat
+    assert outcome.pruned.clauses == tuple(f.clauses[i]
+                                           for i in outcome.index_map)
+    if outcome.index_map != list(range(f.num_clauses)):
+        assert not truth_table_satisfiable(outcome.pruned)
+    trace = enumerate_marco(outcome.pruned, 60.0)
+    assert trace.exhausted and trace.muses
+    for record in lift_muses(trace, outcome.index_map).muses:
+        assert is_mus(f, record.clause_indices)
+
+
+class TestPruners:
+    @SETTINGS
+    @given(small_unsat(), st.integers(1, 16), st.data())
+    def test_threshold_prune(self, f, k, data):
+        scores = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            min_size=f.num_clauses, max_size=f.num_clauses))
+        check_pruning(f, threshold_prune(f, scores, k, sat.SatEngine()), k)
+
+    @SETTINGS
+    @given(small_unsat(), st.integers(1, 16))
+    def test_variable_frequency_prune(self, f, k):
+        check_pruning(f, variable_frequency_prune(f, k, sat.SatEngine()), k)
+
+    @SETTINGS
+    @given(small_unsat(), st.integers(1, 16))
+    def test_clause_length_prune(self, f, steps):
+        check_pruning(f, clause_length_prune(f, steps, sat.SatEngine()), steps)
+
+
+class TestDimacs:
+    @SETTINGS
+    @given(formulas())
+    def test_write_parse_round_trip(self, f):
+        assert parse_dimacs(write_dimacs(f)) == f
+
+    @SETTINGS
+    @given(formulas(max_clauses=8), st.booleans(), st.data())
+    def test_mutated_text_raises_only_format_errors(self, f, as_bytes, data):
+        """Insertions, deletions and replacements of characters that
+        matter to the format, as text and as bytes, parse or raise
+        DimacsFormatError, nothing else."""
+        text = write_dimacs(f)
+        alphabet = list("0123456789- \npcnfx\t") + (
+            ["\xff", "\x80"] if as_bytes else ["\u0663", "\u00e9"])
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(text)))
+            j = data.draw(st.integers(i, min(len(text), i + 3)))
+            text = text[:i] + "".join(data.draw(st.lists(
+                st.sampled_from(alphabet), max_size=3))) + text[j:]
+        try:
+            parse_dimacs(text.encode("latin-1") if as_bytes else text)
+        except DimacsFormatError:
+            pass
+
+
+EQUIVARIANCE_PARAMS = init_params(ModelConfig(), seed=1)
+
+
+class TestModelEquivariance:
+    @SETTINGS
+    @given(formulas(max_vars=8, max_clauses=20, min_clauses=1), st.data())
+    def test_clause_permutation_permutes_mu(self, f, data):
+        """Permuting the clauses, with the clause rows of the features,
+        permutes ``forward``'s prune probabilities."""
+        perm = data.draw(st.permutations(range(f.num_clauses)))
+        graph = build_lcg(f)
+        x = make_input_features(
+            graph, EQUIVARIANCE_PARAMS.config.random_feature_dim, 0)
+        lit = graph.num_literal_nodes
+        permuted = CnfFormula(f.num_vars, [f.clauses[j] for j in perm])
+        x_perm = np.vstack([x[:lit], x[lit:][perm]])
+        mu = forward(EQUIVARIANCE_PARAMS, graph, x)
+        mu_perm = forward(EQUIVARIANCE_PARAMS, build_lcg(permuted), x_perm)
+        np.testing.assert_allclose(mu_perm, mu[perm], rtol=0, atol=1e-12)
