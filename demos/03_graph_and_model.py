@@ -15,7 +15,7 @@ from musprune import (CnfFormula, build_lcg, forward, init_params,
 f1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 graph = build_lcg(f1)
 print(f"nodes: {graph.num_nodes} ({graph.num_literal_nodes} literal, "
-      f"{graph.num_clause_nodes} clause)")
+      f"{graph.num_clauses} clause)")
 print(f"membership edges: {len(graph.membership_edges)}, "
       f"negation edges: {len(graph.negation_edges)}")
 print("membership edges [literal node, clause node]:",

@@ -110,6 +110,8 @@ class BenchConfig:
             raise ValueError("problem set is empty")
         if self.external_command == "":
             raise ValueError("external enumerator requires a command template")
+        if self.external_command is not None:
+            _fill_template(self.external_command, "problem.cnf", 1.0)
         if any(b <= 0 for b in self.budgets):
             raise ValueError("budgets must be positive")
         if self.repetitions < 1:
@@ -174,24 +176,37 @@ def make_pruner(spec: PrunerSpec):
 _MUS_LINE = re.compile(r"^\s*\d+(\s+\d+)*\s*$")
 
 
+def _fill_template(template: str, dimacs: str, budget: float) -> str:
+    """The external command; a ValueError names a field it cannot fill."""
+    try:
+        return template.format(dimacs=dimacs, budget=budget)
+    except KeyError as exc:
+        raise ValueError(f"external command template {template!r}: unknown "
+                         f"field {{{exc.args[0]}}}; its fields are {{dimacs}} "
+                         f"and {{budget}}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"external command template {template!r}: {exc}") from None
+
+
 def external_enumerator(command_template: str):
     """Adapter for external enumerators invoked per problem.
 
     The command template receives {dimacs} (input path) and {budget}
     (seconds). Output lines consisting solely of whitespace-separated
     nonnegative integers are read as one MUS each (0-based clause indices
-    into the input); all other lines are ignored. The command runs in its
-    own session, so a timeout kills it together with any children.
+    into the input; an index the input does not have raises ValueError);
+    all other lines are ignored. The command runs in its own session, so
+    a timeout kills it together with any children.
     """
 
     def run(formula: CnfFormula, budget: float) -> EnumerationTrace:
-        start = time.perf_counter()
         with tempfile.NamedTemporaryFile(
                 mode="w", suffix=".cnf", delete=False) as fh:
             fh.write(write_dimacs(formula))
             path = fh.name
         try:
-            cmd = command_template.format(dimacs=path, budget=budget)
+            cmd = _fill_template(command_template, path, budget)
             with subprocess.Popen(
                     cmd, shell=True, stdout=subprocess.PIPE,
                     stderr=subprocess.DEVNULL, text=True,
@@ -203,18 +218,16 @@ def external_enumerator(command_template: str):
                     os.killpg(proc.pid, signal.SIGKILL)
                     output, _ = proc.communicate()
             finished = proc.returncode == 0
-            elapsed = time.perf_counter() - start
             muses = []
             for line in output.splitlines():
                 if _MUS_LINE.match(line):
                     indices = frozenset(int(tok) for tok in line.split())
+                    if max(indices) >= formula.num_clauses:
+                        raise ValueError(
+                            f"external enumerator named clause "
+                            f"{max(indices)} of {formula.num_clauses}")
                     muses.append(MusRecord(indices))
-            return EnumerationTrace(
-                muses=muses,
-                timestamps=[elapsed] * len(muses),
-                seeds_tested=0,
-                exhausted=finished,
-            )
+            return EnumerationTrace(muses=muses, exhausted=finished)
         finally:
             os.unlink(path)
 
@@ -222,10 +235,9 @@ def external_enumerator(command_template: str):
 
 
 def run_pipeline(problem: CnfFormula, pruner, enumerator, budget: float,
-                 seed: int = 0, engine: SatEngine | None = None,
-                 audit_sample: int = 3) -> RunRecord:
+                 seed: int = 0, audit_sample: int = 3) -> RunRecord:
     """Prune, enumerate on the remainder of the budget, lift, audit."""
-    engine = engine if engine is not None else SatEngine()
+    engine = SatEngine()
     record = RunRecord(problem="", pruner="", budget=budget,
                        repetition=0, seed=seed)
     start = time.perf_counter()
@@ -339,7 +351,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                             reason=skip_reason, seed=run_seed))
                         continue
                     record = run_pipeline(formula, fn, enumerator, budget,
-                                          seed=run_seed, engine=SatEngine(),
+                                          seed=run_seed,
                                           audit_sample=config.audit_sample)
                     record.problem = path
                     record.pruner = label
@@ -353,7 +365,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
 # report emission
 
 # Fields that vary run to run on the same seed (excluded from
-# reproducibility comparisons).
+# reproducibility comparisons). Only when every run exhausts its search
+# are the other fields fixed by the seed: in a run cut by its budget,
+# mus_count, seeds_tested, exhausted, audit_checked and the aggregates
+# depend on the host's speed.
 WALL_TIME_FIELDS = ("prune_time", "enum_time")
 
 
@@ -393,6 +408,8 @@ def report_to_markdown(report: BenchReport) -> str:
     for a in report.aggregates:
         if a.pruner not in pruners:
             pruners.append(a.pruner)
+    enumerator = ("marco" if report.config.external_command is None
+                  else "external")
     header = "| Solver | " + " | ".join(f"{b:g} (s)" for b in budgets) + " |"
     sep = "|" + "---|" * (len(budgets) + 1)
     lines = [header, sep]
@@ -403,19 +420,18 @@ def report_to_markdown(report: BenchReport) -> str:
         for b in budgets:
             a = pooled.get((pruner, b))
             cells.append(f"{a.mean_mus:.2f} ± {a.stderr_mus:.2f}" if a else "-")
-        lines.append(f"| marco + {pruner} | " + " | ".join(cells) + " |")
+        lines.append(f"| {enumerator} + {pruner} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
-def scatter_pairs(report: BenchReport, baseline: str | None = None) -> list[dict]:
+def scatter_pairs(report: BenchReport) -> list[dict]:
     """Per-problem (baseline_count, pruned_count) pairs, averaged over
-    repetitions, for scatter emission against the no-pruning baseline."""
+    repetitions, for scatter emission against the first pruner."""
     labels = []
     for r in report.records:
         if r.pruner not in labels:
             labels.append(r.pruner)
-    if baseline is None:
-        baseline = labels[0]
+    baseline = labels[0]
     per_key: dict[tuple[str, str, float], list[int]] = {}
     for r in report.records:
         if r.status in _COUNTED_STATUSES:

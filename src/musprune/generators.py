@@ -34,6 +34,7 @@ from .cnf import CnfFormula, FormulaStats, write_dimacs
 from .sat import SatEngine
 
 MAX_REJECTIONS = 10_000
+MAX_ATTEMPTS = 200  # graph samples gen_graph_coloring draws before giving up
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class GenSpec:
     """Serializable description of one generator configuration."""
 
     variant: str                                 # sr_random|stat_matched|graph_coloring
-    num_vars: int | None = None                  # sr_random
-    var_range: tuple[int, int] | None = None     # sr_random corpus mode
+    num_vars: int | None = None                  # sr_random / stat_matched;
+    var_range: tuple[int, int] | None = None     # drawn from if no num_vars
     bernoulli_p: float = 0.3
     geometric_p: float = 0.3
     ratio: float | None = None                   # stat_matched
@@ -59,6 +60,26 @@ class GenSpec:
                 raise ValueError("probabilities must lie strictly in (0, 1)")
         if not 0.0 < self.edge_p <= 1.0:
             raise ValueError("edge probability must lie in (0, 1]")
+        if self.variant == "graph_coloring":
+            least = {"node_range": 1, "color_range": 2}
+        elif self.num_vars is not None:
+            least = {"num_vars": 2}
+        elif self.var_range is not None:
+            least = {"var_range": 2}
+        else:
+            raise ValueError(f"{self.variant} needs num_vars or var_range")
+        if self.variant == "stat_matched" and (
+                self.ratio is None or self.length_histogram is None):
+            raise ValueError("stat_matched needs ratio and length_histogram")
+        for name, bound in least.items():  # least value its generator takes
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.variant} needs {name}")
+            lo, hi = (value, value) if name == "num_vars" else value
+            if lo > hi:
+                raise ValueError(f"{name} is empty: {lo} > {hi}")
+            if lo < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {lo}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -189,8 +210,7 @@ def coloring_encoding(n_nodes: int, edges, n_colors: int) -> CnfFormula:
 
 
 def gen_graph_coloring(node_range, edge_p: float, color_range, seed=0,
-                       engine: SatEngine | None = None,
-                       max_attempts: int = 200) -> CnfFormula:
+                       engine: SatEngine | None = None) -> CnfFormula:
     """Sample G(n, p) coloring instances, discarding satisfiable ones."""
     n_lo, n_hi = int(node_range[0]), int(node_range[1])
     c_lo, c_hi = int(color_range[0]), int(color_range[1])
@@ -200,7 +220,7 @@ def gen_graph_coloring(node_range, edge_p: float, color_range, seed=0,
         raise ValueError("need at least two colors")
     engine = engine if engine is not None else SatEngine()
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         n = int(rng.integers(n_lo, n_hi + 1))
         k = int(rng.integers(c_lo, c_hi + 1))
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
@@ -209,7 +229,7 @@ def gen_graph_coloring(node_range, edge_p: float, color_range, seed=0,
         if not engine.is_satisfiable(formula):
             return formula
     raise RuntimeError(
-        f"no UNSAT coloring instance found in {max_attempts} attempts"
+        f"no UNSAT coloring instance found in {MAX_ATTEMPTS} attempts"
     )
 
 
@@ -217,46 +237,31 @@ def generate(spec: GenSpec, seed=0, engine: SatEngine | None = None) -> CnfFormu
     """Dispatch one instance from a :class:`GenSpec`."""
     engine = engine if engine is not None else SatEngine()
     rng = np.random.default_rng(seed)
-    if spec.variant == "sr_random":
-        if spec.num_vars is not None:
-            n = spec.num_vars
-        elif spec.var_range is not None:
-            n = int(rng.integers(spec.var_range[0], spec.var_range[1] + 1))
-        else:
-            raise ValueError("sr_random needs num_vars or var_range")
-        return gen_sr_random(n, spec.bernoulli_p, spec.geometric_p,
-                             seed=rng, engine=engine)
-    if spec.variant == "stat_matched":
-        if spec.ratio is None or spec.length_histogram is None:
-            raise ValueError("stat_matched needs ratio and length_histogram")
-        n = spec.num_vars
-        if n is None and spec.var_range is not None:
-            n = int(rng.integers(spec.var_range[0], spec.var_range[1] + 1))
-        if n is None:
-            raise ValueError("stat_matched needs num_vars or var_range")
-        stats = FormulaStats(
-            num_vars=n, num_clauses=0,
-            clause_length_histogram={int(k): v
-                                     for k, v in spec.length_histogram.items()},
-            clause_to_variable_ratio=spec.ratio,
-        )
-        return gen_stat_matched(stats, seed=rng, engine=engine)
     if spec.variant == "graph_coloring":
-        if spec.node_range is None or spec.color_range is None:
-            raise ValueError("graph_coloring needs node_range and color_range")
         return gen_graph_coloring(spec.node_range, spec.edge_p,
                                   spec.color_range, seed=rng, engine=engine)
-    raise ValueError(f"unknown variant {spec.variant!r}")
+    n = spec.num_vars
+    if n is None:
+        n = int(rng.integers(spec.var_range[0], spec.var_range[1] + 1))
+    if spec.variant == "sr_random":
+        return gen_sr_random(n, spec.bernoulli_p, spec.geometric_p,
+                             seed=rng, engine=engine)
+    stats = FormulaStats(
+        num_vars=n, num_clauses=0,
+        clause_length_histogram={int(k): v
+                                 for k, v in spec.length_histogram.items()},
+        clause_to_variable_ratio=spec.ratio,
+    )
+    return gen_stat_matched(stats, seed=rng, engine=engine)
 
 
-def emit_corpus(out_dir, spec: GenSpec, count: int, seed=0,
-                engine: SatEngine | None = None) -> list[str]:
+def emit_corpus(out_dir, spec: GenSpec, count: int, seed=0) -> list[str]:
     """Write ``count`` DIMACS instances plus a JSON-lines manifest.
 
     Per-instance seeds derive from the corpus seed by counter, so any
     instance can be regenerated independently.
     """
-    engine = engine if engine is not None else SatEngine()
+    engine = SatEngine()
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     manifest_path = os.path.join(out_dir, "manifest.jsonl")

@@ -29,10 +29,6 @@ class LiteralClauseGraph:
         return 2 * self.num_vars
 
     @property
-    def num_clause_nodes(self) -> int:
-        return self.num_clauses
-
-    @property
     def num_nodes(self) -> int:
         return 2 * self.num_vars + self.num_clauses
 

@@ -160,7 +160,7 @@ def _forward_cached(params: ModelParams, graph: LiteralClauseGraph, features):
     mu = _sigmoid(logits)
     cache = {
         "adj": adj, "lit": lit, "cls": cls, "inputs": inputs, "pres": pres,
-        "z_cls": z_cls, "pre1": pre1, "h1": h1, "logits": logits, "mu": mu,
+        "z_cls": z_cls, "pre1": pre1, "h1": h1, "mu": mu,
     }
     return mu, cache
 

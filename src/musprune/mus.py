@@ -29,10 +29,6 @@ class MusRecord:
 
     clause_indices: frozenset[int]
 
-    @property
-    def size(self) -> int:
-        return len(self.clause_indices)
-
     def sorted_indices(self) -> list[int]:
         return sorted(self.clause_indices)
 
@@ -42,7 +38,6 @@ class EnumerationTrace:
     """Result of one enumeration run."""
 
     muses: list[MusRecord] = field(default_factory=list)
-    timestamps: list[float] = field(default_factory=list)
     seeds_tested: int = 0
     exhausted: bool = False
 
@@ -62,9 +57,9 @@ class _SubsetSolver:
     """
 
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
-        self.engine = engine if engine is not None else SatEngine()
+        engine = engine if engine is not None else SatEngine()
         self.num_clauses = formula.num_clauses
-        self._session = self.engine.session(formula.num_vars)
+        self._session = engine.session(formula.num_vars)
         self._selectors = [self._session.add_guarded_clause(clause)
                            for clause in formula.clauses]
         self._clause_of = {s: j for j, s in enumerate(self._selectors)}
@@ -166,8 +161,7 @@ def enumerate_marco(formula: CnfFormula, budget: float,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    start = time.perf_counter()
-    deadline = start + budget
+    deadline = time.perf_counter() + budget
     m = formula.num_clauses
     solver = _SubsetSolver(formula, engine)
     map_solver = Solver(num_vars=m)
@@ -191,7 +185,6 @@ def enumerate_marco(formula: CnfFormula, budget: float,
             mus_set = _shrink_in(solver, core, deadline)
             record = MusRecord(frozenset(mus_set))
             trace.muses.append(record)
-            trace.timestamps.append(time.perf_counter() - start)
             if sink is not None:
                 sink(record)
             map_solver.add_clause([j + 1 for j in sorted(mus_set)])
@@ -292,7 +285,6 @@ def lift_muses(pruned_trace: EnumerationTrace, index_map) -> EnumerationTrace:
         lifted.append(MusRecord(frozenset(mapped)))
     return EnumerationTrace(
         muses=lifted,
-        timestamps=list(pruned_trace.timestamps),
         seeds_tested=pruned_trace.seeds_tested,
         exhausted=pruned_trace.exhausted,
     )

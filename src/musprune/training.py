@@ -22,6 +22,9 @@ from .model import (ModelParams, _backward_from_logits, _forward_cached,
 from .pruning import threshold_prune
 from .sat import SatEngine
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+EVAL_K = 10  # evaluate_loss's threshold-search k, the test-time default
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -73,13 +76,13 @@ def prune_loss(original: CnfFormula, pruned: CnfFormula, sat_status: bool) -> fl
 
 
 def adam_update(params: ModelParams, state: OptimizerState,
-                grads: dict[str, np.ndarray], lr: float,
-                beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> tuple[ModelParams, OptimizerState, bool]:
+                grads: dict[str, np.ndarray], lr: float
+                ) -> tuple[ModelParams, OptimizerState, bool]:
     """One Adam step. Non-finite gradients skip the step and flag it.
 
-    Returns (params, state, skipped). Parameters and moments are updated
-    in fresh arrays; the inputs are not mutated.
+    Returns (params, state, skipped). A step writes fresh arrays and a
+    new state. A skipped step returns its inputs, and raises the given
+    ``state``'s ``skipped_steps`` in place: that input is changed.
     """
     for g in grads.values():
         if not np.all(np.isfinite(g)):
@@ -91,11 +94,11 @@ def adam_update(params: ModelParams, state: OptimizerState,
         g = grads[key]
         m = state.m.get(key, np.zeros_like(theta))
         v = state.v.get(key, np.zeros_like(theta))
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        new_tensors[key] = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        new_tensors[key] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[key], new_v[key] = m, v
     new_state = OptimizerState(m=new_m, v=new_v, t=t,
                                baseline=state.baseline,
@@ -168,7 +171,7 @@ def reinforce_step(params: ModelParams, batch, engine: SatEngine,
 
 
 def evaluate_loss(params: ModelParams, eval_set, engine: SatEngine,
-                  seed: int = 0, k: int = 10) -> float:
+                  seed: int = 0) -> float:
     """Mean pruning loss of the deterministic test-time pruning.
 
     Each eval formula is pruned by the threshold binary search actually
@@ -180,7 +183,7 @@ def evaluate_loss(params: ModelParams, eval_set, engine: SatEngine,
     for idx, formula in enumerate(eval_set):
         mu = score_clauses(params, formula,
                            _formula_rng_seed(seed, _EVAL_STEP, idx, 0))
-        outcome = threshold_prune(formula, mu, k, engine)
+        outcome = threshold_prune(formula, mu, EVAL_K, engine)
         losses.append(prune_loss(formula, outcome.pruned, not outcome.unsat))
     return float(np.mean(losses))
 

@@ -343,9 +343,9 @@ class TestCriterion09EnumerationTrend:
                                                   checkpoint=ckpt, k=10))
         for j, f in enumerate(held):
             rec_b = run_pipeline(f, none_pruner, enumerate_marco, 1.0,
-                                 seed=j, engine=SatEngine(), audit_sample=0)
+                                 seed=j, audit_sample=0)
             rec_p = run_pipeline(f, model_pruner, enumerate_marco, 1.0,
-                                 seed=j, engine=SatEngine(), audit_sample=0)
+                                 seed=j, audit_sample=0)
             base_counts.append(rec_b.mus_count)
             pruned_counts.append(rec_p.mus_count)
         base = np.array(base_counts, dtype=float)

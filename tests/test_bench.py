@@ -4,12 +4,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from musprune import pruning
-from musprune.bench import (BenchConfig, PrunerSpec, RunRecord,
+from musprune.bench import (BenchConfig, BenchReport, PrunerSpec, RunRecord,
                             aggregates_to_csv, external_enumerator,
                             make_pruner, records_to_csv, report_to_json,
                             report_to_markdown, run_benchmark, run_pipeline,
@@ -52,8 +53,7 @@ def write_problems(tmp_path, formulas):
 class TestRunPipeline:
     def test_none_pruner_equals_plain_enumeration(self):
         pruner = make_pruner(PrunerSpec(kind="none"))
-        record = run_pipeline(F1, pruner, enumerate_marco, 30.0, seed=0,
-                              engine=SatEngine())
+        record = run_pipeline(F1, pruner, enumerate_marco, 30.0, seed=0)
         assert record.mus_count == 2
         assert record.kept_fraction == 1.0
         assert record.exhausted
@@ -72,7 +72,7 @@ class TestRunPipeline:
                 return trace
 
             record = run_pipeline(F1, pruner, enum_collect, 30.0, seed=1,
-                                  engine=SatEngine(), audit_sample=5)
+                                  audit_sample=5)
             assert record.audit_ok
             if record.status == "ok" and record.mus_count:
                 assert record.audit_checked > 0
@@ -260,6 +260,16 @@ class TestReportFormats:
         assert len(lines) == 2  # none + var_freq
         assert "±" in lines[0]
 
+    def test_markdown_names_the_external_enumerator(self, tmp_path):
+        report = self.make_report(tmp_path)
+        external = BenchReport(
+            config=replace(report.config,
+                           external_command="enum {dimacs} {budget}"),
+            records=report.records, aggregates=report.aggregates)
+        table = report_to_markdown(report)
+        assert report_to_markdown(external) == table.replace(
+            "| marco + ", "| external + ")
+
     def test_scatter_pairs(self, tmp_path):
         report = self.make_report(tmp_path)
         rows = scatter_pairs(report)
@@ -331,6 +341,13 @@ class TestExternalEnumerator:
                 break
             time.sleep(0.01)
         assert state in ("gone", "Z")
+
+    def test_clause_beyond_input_is_enum_error(self):
+        record = run_pipeline(F1, make_pruner(PrunerSpec()),
+                              external_enumerator("echo 0 1; echo 0 999"), 5.0)
+        assert record.status == "enum_error"
+        assert record.reason == "external enumerator named clause 999 of 4"
+        assert record.mus_count == 0
 
     def test_failing_command_yields_unfinished_trace(self):
         trace = external_enumerator("false")(F1, 1.0)

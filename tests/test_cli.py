@@ -7,7 +7,8 @@ import pytest
 from musprune import bench
 from musprune.cli import main
 from musprune.cnf import CnfFormula, parse_dimacs, write_dimacs
-from musprune.mus import brute_force_muses
+from musprune.generators import gen_sr_random
+from musprune.mus import brute_force_muses, truth_table_satisfiable
 from musprune.pruning import random_prune, variable_frequency_prune
 from musprune.sat import SatEngine
 
@@ -162,6 +163,49 @@ class TestGenerate:
         for name in sorted(os.listdir(a)):
             assert read_text(a / name) == read_text(b / name)
 
+    def check_corpus(self, out, count, variant):
+        records = [json.loads(line) for line in
+                   read_text(out / "manifest.jsonl").splitlines()]
+        assert len(records) == count
+        assert sorted(f for f in os.listdir(out) if f.endswith(".cnf")) == \
+            [r["file"] for r in records]
+        for record in records:
+            assert record["spec"]["variant"] == variant
+            f = parse_dimacs((out / record["file"]).read_bytes())
+            assert not truth_table_satisfiable(f)
+
+    def test_graph_coloring_corpus(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert main(["generate", "--variant", "graph_coloring", "--count", "3",
+                     "--min-nodes", "3", "--max-nodes", "5",
+                     "--min-colors", "2", "--max-colors", "3",
+                     "--out", str(out), "--seed", "1"]) == 0
+        self.check_corpus(out, 3, "graph_coloring")
+
+    def test_stat_matched_corpus(self, tmp_path):
+        target = tmp_path / "target.cnf"
+        target.write_text(write_dimacs(gen_sr_random(8, seed=2)))
+        out = tmp_path / "corpus"
+        assert main(["generate", "--variant", "stat_matched", "--count", "3",
+                     "--target", str(target), "--min-vars", "8",
+                     "--out", str(out), "--seed", "1"]) == 0
+        self.check_corpus(out, 3, "stat_matched")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-vars", "30", "--max-vars", "20"], "var_range is empty"),
+        (["--min-vars", "1", "--max-vars", "4"], "var_range must be >= 2"),
+        (["--variant", "graph_coloring", "--min-colors", "1"],
+         "color_range must be >= 2"),
+        (["--variant", "graph_coloring", "--min-nodes", "9",
+          "--max-nodes", "8"], "node_range is empty")])
+    def test_bad_spec_exits_1_without_output(self, tmp_path, flags, message,
+                                             capsys):
+        out = tmp_path / "corpus"
+        assert main(["generate", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
 class TestBench:
     def run_bench(self, problem_dir, out_prefix, seed="5"):
@@ -190,6 +234,23 @@ class TestBench:
                      "--pruner", pruner, "--budgets", "1",
                      "--out", str(tmp_path / "r")]) == 1
         assert "pruner" in capsys.readouterr().err
+        assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
+
+    @pytest.mark.parametrize("template, message", [
+        ("echo {dimacs} {timeout}", "unknown field {timeout}"),
+        ("echo {0} {budget}", "index 0"),
+        ("echo {dimacs", "expected '}'")])
+    def test_bad_external_template_exits_1(self, tmp_path, problem_dir,
+                                           template, message, capsys,
+                                           monkeypatch):
+        def no_run(config):
+            raise AssertionError("benchmark ran")
+        monkeypatch.setattr(bench, "run_benchmark", no_run)
+        assert main(["bench", "--problems", problem_dir, "--pruner", "none",
+                     "--budgets", "1", "--external-command", template,
+                     "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
 
     def test_reports_reproducible_modulo_wall_time(self, tmp_path, problem_dir):

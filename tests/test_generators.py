@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from musprune import generators
 from musprune.cnf import CnfFormula, clause_stats, parse_dimacs
 from musprune.generators import (GenSpec, _clause_length,
                                  _lengths_from_histogram, _sample_clause,
@@ -186,10 +187,11 @@ class TestGraphColoring:
         b = gen_graph_coloring((4, 8), 0.8, (2, 3), seed=7)
         assert a == b
 
-    def test_rejection_budget_error(self):
+    def test_rejection_budget_error(self, monkeypatch):
         # plenty of colors on a tiny sparse graph: everything is SAT
-        with pytest.raises(RuntimeError, match="attempts"):
-            gen_graph_coloring((2, 3), 0.5, (5, 6), seed=0, max_attempts=5)
+        monkeypatch.setattr(generators, "MAX_ATTEMPTS", 5)
+        with pytest.raises(RuntimeError, match="5 attempts"):
+            gen_graph_coloring((2, 3), 0.5, (5, 6), seed=0)
 
 
 class TestGenSpecDispatch:
@@ -206,6 +208,32 @@ class TestGenSpecDispatch:
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError):
             generate(GenSpec(variant="sr_random"), seed=0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"variant": "sr_random"}, "sr_random needs num_vars or var_range"),
+        ({"variant": "stat_matched", "num_vars": 5},
+         "stat_matched needs ratio and length_histogram"),
+        ({"variant": "graph_coloring", "node_range": (2, 3)},
+         "graph_coloring needs color_range"),
+        ({"variant": "sr_random", "var_range": (30, 20)},
+         "var_range is empty: 30 > 20"),
+        ({"variant": "graph_coloring", "node_range": (5, 4),
+          "color_range": (2, 3)}, "node_range is empty: 5 > 4"),
+        ({"variant": "graph_coloring", "node_range": (2, 3),
+          "color_range": (4, 3)}, "color_range is empty: 4 > 3"),
+        ({"variant": "sr_random", "num_vars": 1},
+         "num_vars must be >= 2, got 1"),
+        ({"variant": "stat_matched", "var_range": (1, 4), "ratio": 4.0,
+          "length_histogram": {3: 1}}, "var_range must be >= 2, got 1"),
+        ({"variant": "graph_coloring", "node_range": (0, 3),
+          "color_range": (2, 3)}, "node_range must be >= 1, got 0"),
+        ({"variant": "graph_coloring", "node_range": (2, 3),
+          "color_range": (1, 3)}, "color_range must be >= 2, got 1"),
+    ])
+    def test_spec_checked_on_construction(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            GenSpec(**fields)
+        assert str(info.value) == message
 
     def test_deterministic(self):
         spec = GenSpec(variant="graph_coloring", node_range=(4, 6),

@@ -13,7 +13,7 @@ class TestBuildLcg:
     def test_f1_counts(self):
         g = build_lcg(F1)
         assert g.num_literal_nodes == 4
-        assert g.num_clause_nodes == 4
+        assert g.num_clauses == 4
         assert len(g.membership_edges) == 5  # occurrences 1+1+2+1
         assert len(g.negation_edges) == 2
 

@@ -149,10 +149,6 @@ class TestEnumerateMarco:
             assert trace.exhausted
             assert mus_sets(trace.muses) == mus_sets(brute_force_muses(f))
 
-    def test_timestamps_nondecreasing(self):
-        trace = enumerate_marco(F1, 30.0)
-        assert trace.timestamps == sorted(trace.timestamps)
-
     def test_sink_called_per_mus(self):
         collected = []
         trace = enumerate_marco(F1, 30.0, sink=collected.append)
@@ -178,8 +174,7 @@ class TestEnumerateMarco:
 class TestLiftMuses:
     def test_identity_map(self):
         trace = EnumerationTrace(muses=[MusRecord(frozenset({0, 1}))],
-                                 timestamps=[0.1], seeds_tested=1,
-                                 exhausted=True)
+                                 seeds_tested=1, exhausted=True)
         lifted = lift_muses(trace, [0, 1])
         assert lifted.muses[0].clause_indices == frozenset({0, 1})
 
@@ -195,10 +190,8 @@ class TestLiftMuses:
 
     def test_metadata_preserved(self):
         trace = EnumerationTrace(muses=[MusRecord(frozenset({0}))],
-                                 timestamps=[0.5], seeds_tested=7,
-                                 exhausted=False)
+                                 seeds_tested=7, exhausted=False)
         lifted = lift_muses(trace, [4])
-        assert lifted.timestamps == [0.5]
         assert lifted.seeds_tested == 7
         assert lifted.exhausted is False
 
