@@ -116,6 +116,8 @@ class BenchConfig:
             raise ValueError("budgets must be positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.audit_sample < 0:
+            raise ValueError("audit sample must be >= 0")
 
 
 @dataclass
@@ -158,7 +160,7 @@ class BenchReport:
 def make_pruner(spec: PrunerSpec):
     """Build a callable pruner(formula, engine, seed) -> PruneOutcome."""
     if spec.kind == "none":
-        return lambda formula, engine, seed: none_prune(formula, engine)
+        return lambda formula, engine, seed: none_prune(formula)
     if spec.kind == "clause_length":
         return lambda formula, engine, seed: clause_length_prune(
             formula, spec.steps, engine)

@@ -60,7 +60,7 @@ def _cmd_generate(args) -> int:
             raise CliError("stat_matched needs --target (a DIMACS file)")
         target = clause_stats(_read_formula(args.target))
         spec = GenSpec(variant="stat_matched",
-                       num_vars=args.min_vars,
+                       var_range=(args.min_vars, args.max_vars),
                        ratio=target.clause_to_variable_ratio,
                        length_histogram=target.clause_length_histogram)
     paths = emit_corpus(args.out, spec, args.count, seed=args.seed)
@@ -169,6 +169,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.limit < 1:
+        raise CliError("--limit must be >= 1")
     files = _problem_files(args.problems)[: args.limit]
     specs = [bench_mod.PrunerSpec(kind="clause_length"),
              bench_mod.PrunerSpec(kind="var_freq")]

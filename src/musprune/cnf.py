@@ -60,7 +60,6 @@ class FormulaStats:
     """Size statistics used to match generated corpora to a target."""
 
     num_vars: int
-    num_clauses: int
     clause_length_histogram: dict[int, int] = field(default_factory=dict)
     clause_to_variable_ratio: float = 0.0
 
@@ -167,7 +166,6 @@ def clause_stats(formula: CnfFormula) -> FormulaStats:
     ratio = formula.num_clauses / formula.num_vars if formula.num_vars else 0.0
     return FormulaStats(
         num_vars=formula.num_vars,
-        num_clauses=formula.num_clauses,
         clause_length_histogram=dict(sorted(hist.items())),
         clause_to_variable_ratio=ratio,
     )

@@ -7,9 +7,9 @@ Three families:
   becomes unsatisfiable, and keeps that final clause. Removing the last
   clause therefore always yields a satisfiable formula.
 * ``gen_stat_matched`` mimics a target clause-length distribution and
-  clause-to-variable ratio: clauses that would make the formula UNSAT are
-  rejected until a clause-count lower bound is reached, after which
-  clauses are added unconditionally until UNSAT.
+  clause-to-variable ratio: until a clause-count lower bound is reached,
+  clauses that would make the formula UNSAT are rejected and the others
+  are permanent; then clauses are added unconditionally until UNSAT.
 * ``gen_graph_coloring`` encodes K-coloring of an Erdos-Renyi graph with
   at-least-one / at-most-one node constraints and per-edge color bans,
   rejection-sampling until the instance is UNSAT.
@@ -42,8 +42,7 @@ class GenSpec:
     """Serializable description of one generator configuration."""
 
     variant: str                                 # sr_random|stat_matched|graph_coloring
-    num_vars: int | None = None                  # sr_random / stat_matched;
-    var_range: tuple[int, int] | None = None     # drawn from if no num_vars
+    var_range: tuple[int, int] | None = None     # sr_random / stat_matched
     bernoulli_p: float = 0.3
     geometric_p: float = 0.3
     ratio: float | None = None                   # stat_matched
@@ -60,22 +59,20 @@ class GenSpec:
                 raise ValueError("probabilities must lie strictly in (0, 1)")
         if not 0.0 < self.edge_p <= 1.0:
             raise ValueError("edge probability must lie in (0, 1]")
-        if self.variant == "graph_coloring":
-            least = {"node_range": 1, "color_range": 2}
-        elif self.num_vars is not None:
-            least = {"num_vars": 2}
-        elif self.var_range is not None:
-            least = {"var_range": 2}
-        else:
-            raise ValueError(f"{self.variant} needs num_vars or var_range")
-        if self.variant == "stat_matched" and (
-                self.ratio is None or self.length_histogram is None):
-            raise ValueError("stat_matched needs ratio and length_histogram")
-        for name, bound in least.items():  # least value its generator takes
+        least = ({"node_range": 1, "color_range": 2}  # least value each takes
+                 if self.variant == "graph_coloring" else {"var_range": 2})
+        if self.variant == "stat_matched":
+            if self.ratio is None or self.length_histogram is None:
+                raise ValueError("stat_matched needs ratio and length_histogram")
+            if self.ratio <= 0:
+                raise ValueError(f"ratio must be positive, got {self.ratio}")
+            if sum(self.length_histogram.values()) <= 0:
+                raise ValueError("length_histogram is empty")
+        for name, bound in least.items():
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"{self.variant} needs {name}")
-            lo, hi = (value, value) if name == "num_vars" else value
+            lo, hi = value
             if lo > hi:
                 raise ValueError(f"{name} is empty: {lo} > {hi}")
             if lo < bound:
@@ -104,6 +101,19 @@ def _satisfies(model: set[int] | None, clause) -> bool:
     return model is not None and not model.isdisjoint(clause)
 
 
+def _add_until_unsat(session, draw, clauses, model) -> list[list[int]]:
+    """Append ``draw()`` clauses until UNSAT; query only when ``model``, the
+    last one found (None: none yet), fails the new clause."""
+    while True:
+        clause = draw()
+        session.add_clause(clause)
+        clauses.append(clause)
+        if not _satisfies(model, clause):
+            model = session.model()
+            if model is None:
+                return clauses
+
+
 def gen_sr_random(n_vars: int, bernoulli_p: float = 0.3,
                   geometric_p: float = 0.3, seed=0,
                   engine: SatEngine | None = None) -> CnfFormula:
@@ -112,18 +122,11 @@ def gen_sr_random(n_vars: int, bernoulli_p: float = 0.3,
         raise ValueError("n_vars must be >= 2")
     engine = engine if engine is not None else SatEngine()
     rng = np.random.default_rng(seed)
-    session = engine.session(n_vars)
-    clauses: list[list[int]] = []
-    model = None
-    while True:
-        clause = _sample_clause(rng, n_vars,
-                                _clause_length(rng, bernoulli_p, geometric_p))
-        session.add_clause(clause)
-        clauses.append(clause)
-        if not _satisfies(model, clause):
-            model = session.model()
-            if model is None:
-                return CnfFormula(n_vars, clauses)
+    return CnfFormula(n_vars, _add_until_unsat(
+        engine.session(n_vars),
+        lambda: _sample_clause(rng, n_vars,
+                               _clause_length(rng, bernoulli_p, geometric_p)),
+        [], None))
 
 
 def _lengths_from_histogram(histogram: dict[int, int]):
@@ -141,8 +144,8 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
     The variable count is the target's; the clause lower bound is
     ceil(0.9 * ratio * N). Until the bound, candidate clauses that would
     make the formula UNSAT are rejected (at most ``MAX_REJECTIONS``
-    consecutive retries); afterwards clauses are added unconditionally
-    until UNSAT.
+    consecutive retries); an accepted clause is permanent. Afterwards
+    clauses are added unconditionally until UNSAT.
     """
     if stats.clause_to_variable_ratio <= 0:
         raise ValueError("target ratio must be positive")
@@ -154,19 +157,20 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
     rng = np.random.default_rng(seed)
     lower_bound = math.ceil(0.9 * stats.clause_to_variable_ratio * n)
     session = engine.session(n)
-    committed_selectors: list[int] = []
+
+    def draw():
+        return _sample_clause(rng, n, int(rng.choice(lengths, p=probs)))
+
     clauses: list[list[int]] = []
-    model = None  # of the committed clauses
+    model = None  # of the accepted clauses
     rejections = 0
     while len(clauses) < lower_bound:
-        length = int(rng.choice(lengths, p=probs))
-        clause = _sample_clause(rng, n, length)
+        clause = draw()
         selector = session.add_guarded_clause(clause)
-        found = model if _satisfies(model, clause) else session.model(
-            committed_selectors + [selector])
+        found = model if _satisfies(model, clause) else session.model([selector])
         if found is not None:
             model = found
-            committed_selectors.append(selector)
+            session.add_clause(clause)
             clauses.append(clause)
             rejections = 0
         else:
@@ -177,15 +181,7 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
                     f"clause rejection stalled after {MAX_REJECTIONS} "
                     f"consecutive SAT-preserving failures"
                 )
-    while True:
-        length = int(rng.choice(lengths, p=probs))
-        clause = _sample_clause(rng, n, length)
-        session.add_clause(clause)
-        clauses.append(clause)
-        if not _satisfies(model, clause):
-            model = session.model(committed_selectors)
-            if model is None:
-                return CnfFormula(n, clauses)
+    return CnfFormula(n, _add_until_unsat(session, draw, clauses, model))
 
 
 def coloring_encoding(n_nodes: int, edges, n_colors: int) -> CnfFormula:
@@ -235,19 +231,16 @@ def gen_graph_coloring(node_range, edge_p: float, color_range, seed=0,
 
 def generate(spec: GenSpec, seed=0, engine: SatEngine | None = None) -> CnfFormula:
     """Dispatch one instance from a :class:`GenSpec`."""
-    engine = engine if engine is not None else SatEngine()
     rng = np.random.default_rng(seed)
     if spec.variant == "graph_coloring":
         return gen_graph_coloring(spec.node_range, spec.edge_p,
                                   spec.color_range, seed=rng, engine=engine)
-    n = spec.num_vars
-    if n is None:
-        n = int(rng.integers(spec.var_range[0], spec.var_range[1] + 1))
+    n = int(rng.integers(spec.var_range[0], spec.var_range[1] + 1))
     if spec.variant == "sr_random":
         return gen_sr_random(n, spec.bernoulli_p, spec.geometric_p,
                              seed=rng, engine=engine)
     stats = FormulaStats(
-        num_vars=n, num_clauses=0,
+        num_vars=n,
         clause_length_histogram={int(k): v
                                  for k, v in spec.length_histogram.items()},
         clause_to_variable_ratio=spec.ratio,
@@ -261,6 +254,8 @@ def emit_corpus(out_dir, spec: GenSpec, count: int, seed=0) -> list[str]:
     Per-instance seeds derive from the corpus seed by counter, so any
     instance can be regenerated independently.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     engine = SatEngine()
     os.makedirs(out_dir, exist_ok=True)
     paths = []

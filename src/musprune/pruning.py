@@ -44,7 +44,7 @@ def _identity_outcome(formula: CnfFormula, method: str,
     )
 
 
-def none_prune(formula: CnfFormula, engine: SatEngine | None = None) -> PruneOutcome:
+def none_prune(formula: CnfFormula) -> PruneOutcome:
     """Identity pruner; useful as the no-pruning baseline."""
     return _identity_outcome(formula, "none", 0)
 

@@ -80,7 +80,7 @@ class TestRunPipeline:
     def test_budget_consumed_by_pruning(self):
         def slow_pruner(formula, engine, seed):
             time.sleep(0.2)
-            return pruning.none_prune(formula, engine)
+            return pruning.none_prune(formula)
 
         record = run_pipeline(F1, slow_pruner, enumerate_marco, 0.1, seed=0)
         assert record.mus_count == 0
@@ -185,6 +185,11 @@ class TestRunBenchmark:
     def test_empty_problem_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             BenchConfig(problems=())
+
+    def test_negative_audit_sample_rejected(self):
+        with pytest.raises(ValueError) as info:
+            BenchConfig(problems=("a.cnf",), audit_sample=-1)
+        assert str(info.value) == "audit sample must be >= 0"
 
     def test_deterministic_given_seed(self, tmp_path):
         problems = write_problems(tmp_path, [tiny_unsat(i)

@@ -154,12 +154,25 @@ class TestGenerate:
         assert len(files) == 4
         assert (out / "manifest.jsonl").exists()
 
-    def test_determinism_byte_identical(self, tmp_path):
+    def write_target(self, tmp_path, text=None):
+        target = tmp_path / "target.cnf"
+        target.write_text(text or write_dimacs(gen_sr_random(8, seed=2)))
+        return str(target)
+
+    @pytest.mark.parametrize("variant", ["sr_random", "graph_coloring",
+                                         "stat_matched"])
+    def test_determinism_byte_identical(self, tmp_path, variant):
+        flags = {"sr_random": ["--min-vars", "5", "--max-vars", "8"],
+                 "graph_coloring": ["--min-nodes", "3", "--max-nodes", "5",
+                                    "--min-colors", "2", "--max-colors", "3"],
+                 "stat_matched": ["--min-vars", "5", "--max-vars", "8",
+                                  "--target", self.write_target(tmp_path)]}
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["generate", "--variant", "sr_random", "--count", "3",
-                         "--min-vars", "5", "--max-vars", "8",
-                         "--out", str(out), "--seed", "11"]) == 0
+            assert main(["generate", "--variant", variant, "--count", "3",
+                         *flags[variant], "--out", str(out),
+                         "--seed", "11"]) == 0
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
         for name in sorted(os.listdir(a)):
             assert read_text(a / name) == read_text(b / name)
 
@@ -183,13 +196,33 @@ class TestGenerate:
         self.check_corpus(out, 3, "graph_coloring")
 
     def test_stat_matched_corpus(self, tmp_path):
-        target = tmp_path / "target.cnf"
-        target.write_text(write_dimacs(gen_sr_random(8, seed=2)))
         out = tmp_path / "corpus"
         assert main(["generate", "--variant", "stat_matched", "--count", "3",
-                     "--target", str(target), "--min-vars", "8",
+                     "--target", self.write_target(tmp_path),
+                     "--min-vars", "8", "--max-vars", "8",
                      "--out", str(out), "--seed", "1"]) == 0
         self.check_corpus(out, 3, "stat_matched")
+
+    def test_stat_matched_draws_from_var_range(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert main(["generate", "--variant", "stat_matched", "--count", "6",
+                     "--target", self.write_target(tmp_path),
+                     "--min-vars", "6", "--max-vars", "12",
+                     "--out", str(out), "--seed", "1"]) == 0
+        counts = [json.loads(line)["num_vars"] for line in
+                  read_text(out / "manifest.jsonl").splitlines()]
+        assert len(counts) == 6
+        assert all(6 <= n <= 12 for n in counts)
+        assert len(set(counts)) > 1
+
+    def test_empty_target_exits_1_without_output(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["generate", "--variant", "stat_matched",
+                     "--target", self.write_target(tmp_path, "p cnf 3 0\n"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ratio must be positive, got 0.0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--min-vars", "30", "--max-vars", "20"], "var_range is empty"),
@@ -197,7 +230,8 @@ class TestGenerate:
         (["--variant", "graph_coloring", "--min-colors", "1"],
          "color_range must be >= 2"),
         (["--variant", "graph_coloring", "--min-nodes", "9",
-          "--max-nodes", "8"], "node_range is empty")])
+          "--max-nodes", "8"], "node_range is empty"),
+        (["--count", "-1"], "count must be >= 1")])
     def test_bad_spec_exits_1_without_output(self, tmp_path, flags, message,
                                              capsys):
         out = tmp_path / "corpus"
@@ -253,6 +287,13 @@ class TestBench:
         assert err.startswith("error: ") and message in err
         assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
 
+    def test_negative_audit_sample_exits_1(self, tmp_path, problem_dir, capsys):
+        assert main(["bench", "--problems", problem_dir, "--pruner", "none",
+                     "--budgets", "1", "--audit-sample", "-1",
+                     "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "error: audit sample must be >= 0\n"
+        assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
+
     def test_reports_reproducible_modulo_wall_time(self, tmp_path, problem_dir):
         pa, pb = str(tmp_path / "ra"), str(tmp_path / "rb")
         assert self.run_bench(problem_dir, pa) == 0
@@ -289,6 +330,18 @@ class TestValidate:
         assert main(["validate", "--problems", problem_dir,
                      "--budget", "5"]) == 0
         assert "all invariants hold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--limit", "0"], "--limit must be >= 1"),
+        (["--limit", "-1"], "--limit must be >= 1"),
+        (["--audit-sample", "-1"], "audit sample must be >= 0")])
+    def test_check_shortfall_exits_1(self, problem_dir, capsys, flags,
+                                     message):
+        assert main(["validate", "--problems", problem_dir, "--budget", "5",
+                     *flags]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert "all invariants hold" not in out
 
     def test_checkpoint_loaded_once(self, tmp_path, problem_dir, monkeypatch):
         ckpt = tmp_path / "model.npz"

@@ -210,8 +210,8 @@ class TestGenSpecDispatch:
             generate(GenSpec(variant="sr_random"), seed=0)
 
     @pytest.mark.parametrize("fields, message", [
-        ({"variant": "sr_random"}, "sr_random needs num_vars or var_range"),
-        ({"variant": "stat_matched", "num_vars": 5},
+        ({"variant": "sr_random"}, "sr_random needs var_range"),
+        ({"variant": "stat_matched", "var_range": (5, 5)},
          "stat_matched needs ratio and length_histogram"),
         ({"variant": "graph_coloring", "node_range": (2, 3)},
          "graph_coloring needs color_range"),
@@ -221,14 +221,16 @@ class TestGenSpecDispatch:
           "color_range": (2, 3)}, "node_range is empty: 5 > 4"),
         ({"variant": "graph_coloring", "node_range": (2, 3),
           "color_range": (4, 3)}, "color_range is empty: 4 > 3"),
-        ({"variant": "sr_random", "num_vars": 1},
-         "num_vars must be >= 2, got 1"),
+        ({"variant": "stat_matched", "var_range": (5, 5), "ratio": 0.0,
+          "length_histogram": {3: 1}}, "ratio must be positive, got 0.0"),
         ({"variant": "stat_matched", "var_range": (1, 4), "ratio": 4.0,
           "length_histogram": {3: 1}}, "var_range must be >= 2, got 1"),
         ({"variant": "graph_coloring", "node_range": (0, 3),
           "color_range": (2, 3)}, "node_range must be >= 1, got 0"),
         ({"variant": "graph_coloring", "node_range": (2, 3),
           "color_range": (1, 3)}, "color_range must be >= 2, got 1"),
+        ({"variant": "stat_matched", "var_range": (5, 5), "ratio": 4.0,
+          "length_histogram": {}}, "length_histogram is empty"),
     ])
     def test_spec_checked_on_construction(self, fields, message):
         with pytest.raises(ValueError) as info:
@@ -265,3 +267,12 @@ class TestEmitCorpus:
         emit_corpus(b, spec, 3, seed=7)
         for name in os.listdir(a):
             assert open(a / name, "rb").read() == open(b / name, "rb").read()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_checked_before_output(self, tmp_path, count):
+        spec = GenSpec(variant="sr_random", var_range=(5, 8))
+        out = tmp_path / "corpus"
+        with pytest.raises(ValueError) as info:
+            emit_corpus(out, spec, count)
+        assert str(info.value) == f"count must be >= 1, got {count}"
+        assert not out.exists()
