@@ -69,6 +69,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if not 0 < args.eval_fraction < 1:
+        raise CliError("--eval-fraction must be in (0, 1)")
     files = _problem_files(args.corpus)
     formulas = [_read_formula(p) for p in files]
     n_eval = max(1, int(len(formulas) * args.eval_fraction))

@@ -17,9 +17,10 @@ appears negated, which is sound because selectors occur only negatively.
 
 Supports assumption literals (forced true for one query), incremental
 clause addition at the root level, and a per-query wall-clock deadline,
-whose passing is reported as UNKNOWN, distinct from SAT/UNSAT.
-An UNSAT answer caused by the assumptions carries a core: the
-assumptions the final conflict depends on (MiniSat ``analyzeFinal``).
+whose passing is reported as UNKNOWN, distinct from SAT/UNSAT. All
+assumptions share decision level 1. A conflict there is UNSAT, with a
+core: the assumptions reached by walking reasons back from the conflict
+clause (MiniSat ``analyzeFinal``).
 """
 
 from __future__ import annotations
@@ -185,9 +186,6 @@ class Solver:
         a = self._assign[lit if lit > 0 else -lit]
         return a if lit > 0 else -a
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         v = abs(lit)
         self._assign[v] = 1 if lit > 0 else -1
@@ -289,7 +287,7 @@ class Solver:
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP conflict analysis: learned clause and backjump level."""
-        cur_level = self._decision_level()
+        cur_level = len(self._trail_lim)
         seen = set()
         learned: list[int] = []
         counter = 0
@@ -324,18 +322,15 @@ class Solver:
         learned[1], learned[hi] = learned[hi], learned[1]
         return learned, self._level[abs(learned[1])]
 
-    def _analyze_final(self, failed: int) -> list[int]:
-        """Assumptions that imply ``-failed`` (MiniSat ``analyzeFinal``).
+    def _analyze_final(self, conflict: list[int]) -> list[int]:
+        """Assumptions that falsify ``conflict`` (MiniSat ``analyzeFinal``).
 
-        Walks the reasons back from the failed assumption's variable over
-        the trail above the root; the decisions reached are assumptions.
+        Walks the reasons back from the conflict clause over the trail
+        above the root; the literals reached without a reason are assumptions.
         """
-        core = [failed]
-        v = abs(failed)
-        if self._level[v] == 0:
-            return core
-        seen = {v}
         trail, reason, level = self._trail, self._reason, self._level
+        seen = {abs(q) for q in conflict if level[abs(q)] > 0}
+        core = []
         for i in range(len(trail) - 1, self._trail_lim[0] - 1, -1):
             u = abs(trail[i])
             if u not in seen:
@@ -367,8 +362,10 @@ class Solver:
     def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
         """Decide satisfiability under the given assumption literals.
 
-        Returns UNKNOWN once ``time.perf_counter()`` passes ``deadline``,
-        checked at every conflict.
+        Assumptions not already true are enqueued together on level 1 and
+        propagated once; one false at the root is the core ``[a]``. Returns
+        UNKNOWN once ``time.perf_counter()`` passes ``deadline``, checked at
+        every conflict.
         """
         assumptions = [int(a) for a in assumptions]
         polarity: dict[int, int] = {}
@@ -396,9 +393,14 @@ class Solver:
             if conflict is not None:
                 self.stats.conflicts += 1
                 since_restart += 1
-                if self._decision_level() == 0:
+                level = len(self._trail_lim)
+                if level == 0:
                     self.ok = False
                     return SatResult(UNSAT, None, self.stats)
+                if level == 1 and assumptions:
+                    core = self._analyze_final(conflict)
+                    self._backtrack(0)
+                    return SatResult(UNSAT, None, self.stats, core)
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 if len(learned) == 1:
@@ -416,17 +418,15 @@ class Solver:
                     limit = _LUBY_UNIT * _luby(restarts)
                     self._backtrack(0)
                 continue
-            level = self._decision_level()
-            if level < len(assumptions):
-                a = assumptions[level]
-                val = self._value(a)
-                if val == -1:
-                    core = self._analyze_final(a)
-                    self._backtrack(0)
-                    return SatResult(UNSAT, None, self.stats, core)
+            if assumptions and not self._trail_lim:
                 self._trail_lim.append(len(self._trail))
-                if val == 0:
-                    self._enqueue(a, None)
+                for a in assumptions:
+                    val = self._value(a)
+                    if val == -1:  # false at the root
+                        self._backtrack(0)
+                        return SatResult(UNSAT, None, self.stats, [a])
+                    if val == 0:
+                        self._enqueue(a, None)
                 continue
             if not self._decide():
                 assign = self._assign

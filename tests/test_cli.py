@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from musprune import bench
+from musprune import bench, cli
 from musprune.cli import main
 from musprune.cnf import CnfFormula, parse_dimacs, write_dimacs
 from musprune.generators import gen_sr_random
@@ -45,6 +45,22 @@ def train_small_model(problem_dir, ckpt):
                  "--layers", "2", "--hidden-dim", "8",
                  "--random-features", "4", "--mlp-hidden-dim", "8",
                  "--eval-fraction", "0.34"]) == 0
+
+
+class TestTrain:
+    @pytest.mark.parametrize("fraction", ["-0.5", "0", "1"])
+    def test_eval_fraction_out_of_range_exits_1(self, tmp_path, problem_dir,
+                                                capsys, monkeypatch, fraction):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        ckpt = tmp_path / "model.npz"
+        assert main(["train", "--corpus", problem_dir, "--out", str(ckpt),
+                     "--eval-fraction", fraction]) == 1
+        assert (capsys.readouterr().err
+                == "error: --eval-fraction must be in (0, 1)\n")
+        assert not ckpt.exists()
 
 
 class TestEnumerate:

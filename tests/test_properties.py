@@ -53,12 +53,18 @@ def three_sat(draw, min_vars=8, max_vars=12):
 
 
 @st.composite
+def assumption_sets(draw, num_vars):
+    """Literals over distinct variables of 1..num_vars, in drawn order."""
+    vs = draw(st.lists(st.integers(1, num_vars), unique=True,
+                       max_size=num_vars))
+    signs = draw(st.lists(st.booleans(), min_size=len(vs), max_size=len(vs)))
+    return [v if s else -v for v, s in zip(vs, signs)]
+
+
+@st.composite
 def with_assumptions(draw, formula_strategy=formulas()):
     f = draw(formula_strategy)
-    vs = draw(st.lists(st.integers(1, f.num_vars), unique=True,
-                       max_size=f.num_vars))
-    signs = draw(st.lists(st.booleans(), min_size=len(vs), max_size=len(vs)))
-    return f, [v if s else -v for v, s in zip(vs, signs)]
+    return f, draw(assumption_sets(f.num_vars))
 
 
 def with_units(f, lits):
@@ -153,6 +159,26 @@ class TestCdcl:
             return
         assert set(r.core) <= set(assumptions)
         assert not truth_table_satisfiable(with_units(f, r.core))
+
+    @SETTINGS
+    @given(st.one_of(formulas(), three_sat()), st.data())
+    def test_cores_on_a_reused_solver(self, f, data):
+        """One solver answers a drawn sequence of assumption sets, so the
+        clauses learned on one query carry over to the next. Every answer
+        agrees with the truth table, and every core is a subset of its
+        query's assumptions that is UNSAT with the clauses."""
+        solver = make_solver(f)
+        for assumptions in data.draw(st.lists(assumption_sets(f.num_vars),
+                                              min_size=1, max_size=10)):
+            r = solver.solve(assumptions)
+            assert (r.status == SAT) == truth_table_satisfiable(
+                with_units(f, assumptions))
+            if r.core is None:
+                assert r.status == SAT or not truth_table_satisfiable(f)
+                continue
+            assert set(r.core) <= set(assumptions)
+            assert not truth_table_satisfiable(with_units(f, r.core))
+        assert (solver.solve().status == SAT) == truth_table_satisfiable(f)
 
 
 @st.composite
@@ -311,6 +337,26 @@ class TestNonDecisionSelectors:
             for subset in subsets:
                 solver.unsat_core(subset)
         assert all(v <= f.num_vars for v in picks)
+
+    @SETTINGS
+    @given(st.one_of(small_unsat(), three_sat()), st.data())
+    def test_subset_cores_on_a_reused_solver(self, f, data):
+        """One subset solver answers a drawn sequence of clause subsets.
+        Every answer agrees with the truth table on the subset, and every
+        core is a subset of its query's clauses that is UNSAT."""
+        def clauses(indices):
+            return CnfFormula(f.num_vars, [f.clauses[j] for j in indices])
+
+        solver = _SubsetSolver(f)
+        subsets = data.draw(st.lists(
+            st.sets(st.integers(0, f.num_clauses - 1)), min_size=1,
+            max_size=10))
+        for subset in subsets:
+            core = solver.unsat_core(subset)
+            assert (core is None) == truth_table_satisfiable(clauses(subset))
+            if core is not None:
+                assert core <= subset
+                assert not truth_table_satisfiable(clauses(core))
 
 
 class TestMus:

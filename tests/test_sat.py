@@ -124,6 +124,34 @@ class TestCores:
         assert r.status == UNSAT
         assert sorted(r.core) == [-3, 1]
 
+    def test_assumption_false_at_root_is_the_core(self):
+        r = SatEngine().solve(CnfFormula(2, [[-1]]), assumptions=[2, 1])
+        assert r.status == UNSAT
+        assert r.core == [1]
+
+    def test_duplicate_assumptions_accepted(self):
+        f = CnfFormula(2, [[-1, 2]])
+        r = SatEngine().solve(f, assumptions=[1, 1])
+        assert r.status == SAT and 1 in r.model and 2 in r.model
+        r = SatEngine().solve(f, assumptions=[1, 1, -2])
+        assert r.status == UNSAT and sorted(r.core) == [-2, 1]
+
+    def test_reversed_assumptions_agree(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            f = random_formula(rng, 2, 8, density=2.0)
+            vs = rng.choice(f.num_vars, size=f.num_vars, replace=False) + 1
+            assumptions = [int(v) if rng.random() < 0.5 else -int(v)
+                           for v in vs]
+            forward = SatEngine().solve(f, assumptions)
+            backward = SatEngine().solve(f, assumptions[::-1])
+            assert forward.status == backward.status
+            for r in (forward, backward):
+                if r.core is not None:
+                    assert set(r.core) <= set(assumptions)
+                    assert not truth_table_satisfiable(CnfFormula(
+                        f.num_vars, list(f.clauses) + [[a] for a in r.core]))
+
     def test_root_unsat_has_no_core(self):
         r = SatEngine().solve(CnfFormula(2, [[1], [-1]]), assumptions=[2])
         assert r.status == UNSAT and r.core is None
