@@ -28,10 +28,10 @@ print(f"threshold: kept {out.kept_fraction:.2f} of clauses with "
 
 # The appendix baselines. Clause-length keeps short clauses; variable
 # frequency scores clauses over rare variables as more prunable.
-for fn, label in ((clause_length_prune, "clause-length"),
-                  (variable_frequency_prune, "variable-frequency")):
-    out = fn(formula, engine=SatEngine())
-    tag = "pruned" if out.changed else "fell back to the original"
+for fn, arg, label in ((clause_length_prune, 100, "clause-length"),
+                       (variable_frequency_prune, 10, "variable-frequency")):
+    out = fn(formula, arg, SatEngine())
+    tag = "pruned" if out.kept_fraction < 1 else "fell back to the original"
     print(f"{label}: kept {out.kept_fraction:.2f} ({tag})")
 
 # Random pruning at the same fraction usually destroys unsatisfiability,

@@ -112,7 +112,7 @@ class BenchConfig:
             raise ValueError("external enumerator requires a command template")
         if self.external_command is not None:
             _fill_template(self.external_command, "problem.cnf", 1.0)
-        if any(b <= 0 for b in self.budgets):
+        if not all(b > 0 for b in self.budgets):  # NaN included
             raise ValueError("budgets must be positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -374,21 +374,21 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
 WALL_TIME_FIELDS = ("prune_time", "enum_time")
 
 
-def _csv_text(row_type, rows: list[dict]) -> str:
+def _csv_text(fieldnames, rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(row_type)],
-                            lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
 
 
 def records_to_csv(report: BenchReport) -> str:
-    return _csv_text(RunRecord, [asdict(r) for r in report.records])
+    return _csv_text([f.name for f in fields(RunRecord)],
+                     [asdict(r) for r in report.records])
 
 
 def aggregates_to_csv(report: BenchReport) -> str:
-    return _csv_text(AggregateRow, [
+    return _csv_text([f.name for f in fields(AggregateRow)], [
         {**asdict(a), "repetition": "all" if a.repetition is None
          else a.repetition} for a in report.aggregates])
 
@@ -461,13 +461,8 @@ def scatter_pairs(report: BenchReport) -> list[dict]:
 
 
 def scatter_to_csv(report: BenchReport) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=[
-        "problem", "budget", "baseline", "pruner",
-        "baseline_count", "pruned_count"])
-    writer.writeheader()
-    writer.writerows(scatter_pairs(report))
-    return buf.getvalue()
+    return _csv_text(["problem", "budget", "baseline", "pruner",
+                      "baseline_count", "pruned_count"], scatter_pairs(report))
 
 
 # Report format -> the (file suffix, renderer) pairs it writes.

@@ -159,7 +159,7 @@ def enumerate_marco(formula: CnfFormula, budget: float,
     when the budget runs out: every query, the first full UNSAT check
     included, gets the deadline.
     """
-    if budget <= 0:
+    if not budget > 0:  # NaN included
         raise ValueError("budget must be positive")
     deadline = time.perf_counter() + budget
     m = formula.num_clauses

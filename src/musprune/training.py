@@ -42,8 +42,10 @@ class TrainConfig:
         if min(self.batch_size, self.max_formulas, self.samples_per_formula,
                self.early_stop_window, self.eval_every) < 1:
             raise ValueError("counts must be positive")
-        if self.learning_rate <= 0 or self.min_delta <= 0:
-            raise ValueError("learning_rate and min_delta must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN included
+            raise ValueError("learning_rate must be finite and positive")
+        if self.min_delta <= 0:
+            raise ValueError("min_delta must be positive")
 
 
 @dataclass
@@ -258,7 +260,7 @@ def history_to_csv(history, path) -> None:
     columns = ["step", "formulas_seen", "loss", "pruned_fraction",
                "sat_failure_rate", "grad_norm", "eval_loss"]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         for row in history:
             writer.writerow({k: row.get(k, "") for k in columns})

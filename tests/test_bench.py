@@ -12,7 +12,8 @@ import pytest
 from musprune import pruning
 from musprune.bench import (BenchConfig, BenchReport, PrunerSpec, RunRecord,
                             aggregates_to_csv, external_enumerator,
-                            make_pruner, records_to_csv, report_to_json,
+                            REPORT_FORMATS, emit_report, make_pruner,
+                            records_to_csv, report_to_json,
                             report_to_markdown, run_benchmark, run_pipeline,
                             scatter_pairs, scatter_to_csv, _aggregate)
 from musprune.cnf import CnfFormula, write_dimacs
@@ -191,6 +192,11 @@ class TestRunBenchmark:
             BenchConfig(problems=("a.cnf",), audit_sample=-1)
         assert str(info.value) == "audit sample must be >= 0"
 
+    @pytest.mark.parametrize("budget", [0.0, float("nan")])
+    def test_nonpositive_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            BenchConfig(problems=("a.cnf",), budgets=(1.0, budget))
+
     def test_deterministic_given_seed(self, tmp_path):
         problems = write_problems(tmp_path, [tiny_unsat(i)
                                              for i in range(2)])
@@ -257,6 +263,17 @@ class TestReportFormats:
         assert len(payload["records"]) == len(report.records)
         assert payload["records"][0].keys() >= {
             "problem", "mus_count", "kept_fraction", "prune_time"}
+
+    def test_csv_lines_end_in_newline_only(self, tmp_path):
+        report = self.make_report(tmp_path)
+        paths = [p for p in emit_report(report, list(REPORT_FORMATS),
+                                        str(tmp_path / "r"))
+                 if p.endswith(".csv")]
+        assert len(paths) == 3
+        for path in paths:
+            with open(path, "rb") as fh:
+                text = fh.read()
+            assert text.count(b"\n") > 1 and b"\r" not in text, path
 
     def test_markdown_one_row_per_configuration(self, tmp_path):
         report = self.make_report(tmp_path)

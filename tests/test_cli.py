@@ -62,6 +62,16 @@ class TestTrain:
                 == "error: --eval-fraction must be in (0, 1)\n")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_nonfinite_learning_rate_exits_1(self, tmp_path, problem_dir,
+                                             capsys, rate):
+        ckpt = tmp_path / "model.npz"
+        assert main(["train", "--corpus", problem_dir, "--out", str(ckpt),
+                     "--eval-fraction", "0.34", "--learning-rate", rate]) == 1
+        assert (capsys.readouterr().err
+                == "error: learning_rate must be finite and positive\n")
+        assert not ckpt.exists()
+
 
 class TestEnumerate:
     def test_f1_prints_two_muses(self, f1_file, capsys):
@@ -78,6 +88,11 @@ class TestEnumerate:
         path.write_text(SAT_TEXT)
         assert main(["enumerate", "--input", str(path), "--budget", "1"]) == 1
         assert "satisfiable" in capsys.readouterr().err
+
+    def test_nan_budget_exits_1(self, f1_file, capsys):
+        assert main(["enumerate", "--input", f1_file, "--budget", "nan"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: budget must be positive\n" and out == ""
 
 
 class TestPrune:
@@ -303,6 +318,12 @@ class TestBench:
         assert err.startswith("error: ") and message in err
         assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
 
+    def test_nan_budget_exits_1(self, tmp_path, problem_dir, capsys):
+        assert main(["bench", "--problems", problem_dir, "--pruner", "none",
+                     "--budgets", "1", "nan", "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "error: budgets must be positive\n"
+        assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
+
     def test_negative_audit_sample_exits_1(self, tmp_path, problem_dir, capsys):
         assert main(["bench", "--problems", problem_dir, "--pruner", "none",
                      "--budgets", "1", "--audit-sample", "-1",
@@ -350,7 +371,8 @@ class TestValidate:
     @pytest.mark.parametrize("flags, message", [
         (["--limit", "0"], "--limit must be >= 1"),
         (["--limit", "-1"], "--limit must be >= 1"),
-        (["--audit-sample", "-1"], "audit sample must be >= 0")])
+        (["--audit-sample", "-1"], "audit sample must be >= 0"),
+        (["--budget", "nan"], "budgets must be positive")])
     def test_check_shortfall_exits_1(self, problem_dir, capsys, flags,
                                      message):
         assert main(["validate", "--problems", problem_dir, "--budget", "5",

@@ -128,8 +128,9 @@ class TestEnumerateMarco:
             enumerate_marco(CnfFormula(2, [[1, 2]]), 1.0)
 
     def test_nonpositive_budget_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            enumerate_marco(F1, 0.0)
+        for budget in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="budget"):
+                enumerate_marco(F1, budget)
 
     def test_records_distinct_and_sound(self):
         rng = np.random.default_rng(3)

@@ -381,10 +381,12 @@ class TestMus:
         assert is_mus(f, record.clause_indices)
 
 
-def check_pruning(f, outcome, k):
-    """The pruner contracts: the SAT-call bound, a pruned formula that is
-    the induced sub-formula and UNSAT when it differs from the input, and
+def check_pruning(f, outcome, engine, k):
+    """The pruner contracts: the SAT-call bound, with the outcome's count
+    equal to the calls its engine made, a pruned formula that is the
+    induced sub-formula and UNSAT when it differs from the input, and
     MUSes of the pruned formula that lift to MUSes of the input."""
+    assert outcome.sat_calls == engine.calls
     assert outcome.sat_calls <= math.ceil(math.log2(k + 1)) + 1
     assert outcome.unsat
     assert outcome.pruned.clauses == tuple(f.clauses[i]
@@ -404,17 +406,21 @@ class TestPruners:
         scores = data.draw(st.lists(
             st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
             min_size=f.num_clauses, max_size=f.num_clauses))
-        check_pruning(f, threshold_prune(f, scores, k, sat.SatEngine()), k)
+        engine = sat.SatEngine()
+        check_pruning(f, threshold_prune(f, scores, k, engine), engine, k)
 
     @SETTINGS
     @given(small_unsat(), st.integers(1, 16))
     def test_variable_frequency_prune(self, f, k):
-        check_pruning(f, variable_frequency_prune(f, k, sat.SatEngine()), k)
+        engine = sat.SatEngine()
+        check_pruning(f, variable_frequency_prune(f, k, engine), engine, k)
 
     @SETTINGS
     @given(small_unsat(), st.integers(1, 16))
     def test_clause_length_prune(self, f, steps):
-        check_pruning(f, clause_length_prune(f, steps, sat.SatEngine()), steps)
+        engine = sat.SatEngine()
+        check_pruning(f, clause_length_prune(f, steps, engine), engine,
+                      steps)
 
 
 class TestDimacs:

@@ -53,7 +53,7 @@ class TestThresholdPrune:
         for i in range(25):
             f = gen_sr_random(8, seed=i)
             out = threshold_prune(f, rng.random(f.num_clauses), 10, SatEngine())
-            if out.changed:
+            if out.kept_fraction < 1:
                 assert not truth_table_satisfiable(out.pruned)
 
     def test_keep_rule_ties_kept(self):
@@ -107,7 +107,7 @@ class TestClauseLengthPrune:
         for i in range(15):
             f = gen_sr_random(8, seed=100 + i)
             out = clause_length_prune(f, 100, SatEngine())
-            if out.changed:
+            if out.kept_fraction < 1:
                 assert not truth_table_satisfiable(out.pruned)
 
 
@@ -131,7 +131,7 @@ class TestVariableFrequencyPrune:
         for i in range(15):
             f = gen_sr_random(8, seed=200 + i)
             out = variable_frequency_prune(f, 10, SatEngine())
-            if out.changed:
+            if out.kept_fraction < 1:
                 assert not truth_table_satisfiable(out.pruned)
 
 
@@ -177,4 +177,21 @@ class TestNonePrune:
         assert out.pruned == F1
         assert out.index_map == [0, 1, 2, 3]
         assert out.sat_calls == 0
-        assert not out.changed
+        assert out.kept_fraction == 1.0
+
+
+@pytest.mark.parametrize("prune", [
+    lambda f, engine: threshold_prune(f, [], 10, engine),
+    lambda f, engine: clause_length_prune(f, 100, engine),
+    lambda f, engine: variable_frequency_prune(f, 10, engine),
+    lambda f, engine: random_prune(f, 1.0, 0, engine),
+    lambda f, engine: none_prune(f),
+], ids=["threshold", "clause_length", "var_freq", "random", "none"])
+def test_empty_formula_returned_as_is(prune):
+    empty = CnfFormula(0, [])
+    engine = SatEngine()
+    out = prune(empty, engine)
+    assert out.pruned is empty
+    assert out.index_map == []
+    assert out.kept_fraction == 1.0
+    assert out.sat_calls == engine.calls == 0

@@ -199,6 +199,11 @@ class TestEstimatorUnbiasedness:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            tiny_config(learning_rate=rate)
+
     def test_initial_eval_loss_near_one(self):
         formulas = [gen_sr_random(10, seed=i) for i in range(6)]
         p = init_params(SMALL, 0)
@@ -257,3 +262,4 @@ class TestHistoryCsv:
         rows = list(csv.DictReader(open(path)))
         assert rows[0]["loss"] == "0.5"
         assert rows[0]["eval_loss"] == ""
+        assert b"\r" not in path.read_bytes()
