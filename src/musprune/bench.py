@@ -112,6 +112,8 @@ class BenchConfig:
             raise ValueError("external enumerator requires a command template")
         if self.external_command is not None:
             _fill_template(self.external_command, "problem.cnf", 1.0)
+            if math.inf in self.budgets:
+                raise ValueError("an external enumerator needs finite budgets")
         if not all(b > 0 for b in self.budgets):  # NaN included
             raise ValueError("budgets must be positive")
         if self.repetitions < 1:

@@ -237,18 +237,23 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="checkpoint path (.npz)")
     t.add_argument("--history", help="training history CSV path")
     t.add_argument("--eval-fraction", type=float, default=0.1)
-    t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--learning-rate", type=float, default=1e-4)
-    t.add_argument("--max-formulas", type=int, default=20000)
-    t.add_argument("--samples-per-formula", type=int, default=1)
-    t.add_argument("--eval-every", type=int, default=25)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--learning-rate", type=float,
+                   default=TrainConfig.learning_rate)
+    t.add_argument("--max-formulas", type=int,
+                   default=TrainConfig.max_formulas)
+    t.add_argument("--samples-per-formula", type=int,
+                   default=TrainConfig.samples_per_formula)
+    t.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
     t.add_argument("--baseline", action="store_true",
                    help="enable the moving-average variance-reduction baseline")
-    t.add_argument("--layers", type=int, default=5)
-    t.add_argument("--hidden-dim", type=int, default=64)
-    t.add_argument("--random-features", type=int, default=32)
-    t.add_argument("--mlp-hidden-dim", type=int, default=64)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--layers", type=int, default=ModelConfig.num_layers)
+    t.add_argument("--hidden-dim", type=int, default=ModelConfig.hidden_dim)
+    t.add_argument("--random-features", type=int,
+                   default=ModelConfig.random_feature_dim)
+    t.add_argument("--mlp-hidden-dim", type=int,
+                   default=ModelConfig.mlp_hidden_dim)
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
     t.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("prune", help="prune one DIMACS file")

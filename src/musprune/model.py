@@ -175,9 +175,15 @@ def score_clauses(params: ModelParams, formula: CnfFormula, seed) -> np.ndarray:
     """Per-clause prune probabilities of a formula: its literal-clause
     graph, input features whose random columns are drawn from ``seed``,
     and one forward pass."""
+    return score_with_pullback(params, formula, seed)[0]
+
+
+def score_with_pullback(params: ModelParams, formula: CnfFormula, seed):
+    """:func:`score_clauses`'s mu and ``pullback(keep, signal)``: the
+    gradient of ``signal * log p(keep | mu)`` w.r.t. every parameter."""
     graph = build_lcg(formula)
     features = make_input_features(graph, params.config.random_feature_dim, seed)
-    return forward(params, graph, features)
+    return _forward_with_pullback(params, graph, features)
 
 
 def sample_mask(scores, seed) -> tuple[np.ndarray, float]:
@@ -201,12 +207,6 @@ def log_prob(scores, mask) -> float:
         raise ValueError("mask length does not match score length")
     mu_c = np.clip(mu, LOG_EPS, 1.0 - LOG_EPS)
     return float(np.where(keep, np.log1p(-mu_c), np.log(mu_c)).sum())
-
-
-def _score_function_cotangent(mu, keep) -> np.ndarray:
-    """d log p(keep | mu) / d logits; zero where :func:`log_prob` clamps mu."""
-    active = (mu > LOG_EPS) & (mu < 1.0 - LOG_EPS)
-    return np.where(active, ~keep - mu, 0.0)
 
 
 def _backward_from_logits(params: ModelParams, cache, d_logits):
@@ -245,15 +245,26 @@ def _backward_from_logits(params: ModelParams, cache, d_logits):
     return grads
 
 
+def _forward_with_pullback(params: ModelParams, graph, features):
+    mu, cache = _forward_cached(params, graph, features)
+
+    def pullback(mask, signal) -> dict[str, np.ndarray]:
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != mu.shape:
+            raise ValueError("mask length does not match clause count")
+        # d log p(keep | mu) / d logits; zero where log_prob clamps mu.
+        active = (mu > LOG_EPS) & (mu < 1.0 - LOG_EPS)
+        d_logits = np.where(active, ~keep - mu, 0.0) * signal
+        return _backward_from_logits(params, cache, d_logits)
+
+    return mu, pullback
+
+
 def grad_log_prob(params: ModelParams, graph: LiteralClauseGraph,
                   features, mask) -> dict[str, np.ndarray]:
     """Exact gradient of log p(mask) w.r.t. every parameter tensor."""
-    mu, cache = _forward_cached(params, graph, features)
-    keep = np.asarray(mask, dtype=bool)
-    if keep.shape != mu.shape:
-        raise ValueError("mask length does not match clause count")
-    return _backward_from_logits(params, cache,
-                                 _score_function_cotangent(mu, keep))
+    _, pullback = _forward_with_pullback(params, graph, features)
+    return pullback(mask, 1.0)
 
 
 # ----------------------------------------------------------------------

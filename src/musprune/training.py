@@ -11,29 +11,28 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .cnf import CnfFormula, prune_clauses
-from .lcg import build_lcg, make_input_features
-from .model import (ModelParams, _backward_from_logits, _forward_cached,
-                    _score_function_cotangent, sample_mask, score_clauses)
+from .model import (ModelParams, sample_mask, score_clauses,
+                    score_with_pullback)
 from .pruning import threshold_prune
 from .sat import SatEngine
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 EVAL_K = 10  # evaluate_loss's threshold-search k, the test-time default
+MIN_DELTA = 0.01  # relative eval-loss improvement that resets early stopping
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-4
-    max_formulas: int = 2_000_000
+    max_formulas: int = 20_000
     samples_per_formula: int = 1
     early_stop_window: int = 10
-    min_delta: float = 0.01        # relative eval-loss improvement
     eval_every: int = 25           # steps between eval passes
     seed: int = 0
     use_baseline: bool = False     # moving-average variance reduction
@@ -44,8 +43,6 @@ class TrainConfig:
             raise ValueError("counts must be positive")
         if not 0 < self.learning_rate < math.inf:  # NaN included
             raise ValueError("learning_rate must be finite and positive")
-        if self.min_delta <= 0:
-            raise ValueError("min_delta must be positive")
 
 
 @dataclass
@@ -54,6 +51,10 @@ class TrainMetrics:
     pruned_fraction: float      # mean over UNSAT-preserving samples
     sat_failure_rate: float     # fraction of samples whose pruning went SAT
     grad_norm: float
+
+
+HISTORY_COLUMNS = ("step", "formulas_seen",
+                   *(f.name for f in fields(TrainMetrics)), "eval_loss")
 
 
 @dataclass
@@ -78,18 +79,17 @@ def prune_loss(original: CnfFormula, pruned: CnfFormula, sat_status: bool) -> fl
 
 
 def adam_update(params: ModelParams, state: OptimizerState,
-                grads: dict[str, np.ndarray], lr: float
-                ) -> tuple[ModelParams, OptimizerState, bool]:
-    """One Adam step. Non-finite gradients skip the step and flag it.
+                grads: dict[str, np.ndarray], lr: float) -> ModelParams:
+    """One Adam step; returns the new params and updates ``state`` in place.
 
-    Returns (params, state, skipped). A step writes fresh arrays and a
-    new state. A skipped step returns its inputs, and raises the given
-    ``state``'s ``skipped_steps`` in place: that input is changed.
+    A step replaces ``state.m`` and ``state.v`` and advances ``state.t``.
+    A non-finite gradient skips the step: it raises
+    ``state.skipped_steps`` and returns ``params`` unchanged.
     """
     for g in grads.values():
         if not np.all(np.isfinite(g)):
             state.skipped_steps += 1
-            return params, state, True
+            return params
     t = state.t + 1
     new_m, new_v, new_tensors = {}, {}, {}
     for key, theta in params.tensors.items():
@@ -102,10 +102,10 @@ def adam_update(params: ModelParams, state: OptimizerState,
         v_hat = v / (1 - ADAM_BETA2 ** t)
         new_tensors[key] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[key], new_v[key] = m, v
-    new_state = OptimizerState(m=new_m, v=new_v, t=t,
-                               baseline=state.baseline,
-                               skipped_steps=state.skipped_steps)
-    return ModelParams(params.config, new_tensors), new_state, False
+    # Swapped in whole: freeing the old moments key by key, between the
+    # new tensors' allocations, cost about 10x the page faults per step.
+    state.m, state.v, state.t = new_m, new_v, t
+    return ModelParams(params.config, new_tensors)
 
 
 _EVAL_STEP = 2 ** 48  # entropy namespace separating eval from train steps
@@ -121,26 +121,22 @@ def reinforce_step(params: ModelParams, batch, engine: SatEngine,
                    ) -> tuple[ModelParams, OptimizerState, TrainMetrics]:
     """One REINFORCE step over a batch of UNSAT formulas.
 
-    Per formula and sample: build the graph, run the model, sample a keep
-    mask, prune, make exactly one SAT call, and accumulate
-    loss * grad log p. The gradient is averaged over batch x samples and
-    applied with Adam.
+    Per formula and sample: score the formula, sample a keep mask, prune,
+    make exactly one SAT call, and accumulate loss * grad log p. The
+    gradient is averaged over batch x samples and applied with Adam.
+    Returns the new params, the given ``state`` (updated in place) and
+    the step's metrics.
     """
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be nonempty")
-    cfg = params.config
     total: dict[str, np.ndarray] = {k: np.zeros_like(v)
                                     for k, v in params.tensors.items()}
     losses, pruned_fracs, sat_failures = [], [], 0
-    count = 0
     for idx, formula in enumerate(batch):
-        graph = build_lcg(formula)
         for s in range(config.samples_per_formula):
-            ss = _formula_rng_seed(seed, step, idx, s)
-            feat_seed, mask_seed = ss.spawn(2)
-            features = make_input_features(graph, cfg.random_feature_dim, feat_seed)
-            mu, cache = _forward_cached(params, graph, features)
+            feat_seed, mask_seed = _formula_rng_seed(seed, step, idx, s).spawn(2)
+            mu, pullback = score_with_pullback(params, formula, feat_seed)
             keep, _ = sample_mask(mu, mask_seed)
             pruned, _ = prune_clauses(formula, keep)
             sat_status = engine.is_satisfiable(pruned)
@@ -151,25 +147,22 @@ def reinforce_step(params: ModelParams, batch, engine: SatEngine,
                 pruned_fracs.append(1.0 - pruned.num_clauses / formula.num_clauses)
             losses.append(loss)
             signal = loss - state.baseline if config.use_baseline else loss
-            d_logits = _score_function_cotangent(mu, keep) * signal
-            grads = _backward_from_logits(params, cache, d_logits)
+            grads = pullback(keep, signal)
             for k in total:
                 total[k] += grads[k]
-            count += 1
-    mean_grads = {k: g / count for k, g in total.items()}
+    mean_grads = {k: g / len(losses) for k, g in total.items()}
     mean_loss = float(np.mean(losses))
     if config.use_baseline:
         state.baseline = 0.9 * state.baseline + 0.1 * mean_loss
     grad_norm = math.sqrt(sum(float((g * g).sum()) for g in mean_grads.values()))
-    new_params, new_state, _ = adam_update(params, state, mean_grads,
-                                           config.learning_rate)
+    new_params = adam_update(params, state, mean_grads, config.learning_rate)
     metrics = TrainMetrics(
         loss=mean_loss,
         pruned_fraction=float(np.mean(pruned_fracs)) if pruned_fracs else 0.0,
-        sat_failure_rate=sat_failures / count,
+        sat_failure_rate=sat_failures / len(losses),
         grad_norm=grad_norm,
     )
-    return new_params, new_state, metrics
+    return new_params, state, metrics
 
 
 def evaluate_loss(params: ModelParams, eval_set, engine: SatEngine,
@@ -196,7 +189,7 @@ def train(config: TrainConfig, formula_source, engine: SatEngine,
     """REINFORCE training loop with periodic evaluation and early stopping.
 
     Stops after ``max_formulas`` formula presentations or once the eval
-    loss fails to improve by ``min_delta`` (relative) for
+    loss fails to improve by ``MIN_DELTA`` (relative) for
     ``early_stop_window`` consecutive evaluations. Returns the checkpoint
     with the best eval loss and the per-step history.
     """
@@ -219,28 +212,18 @@ def train(config: TrainConfig, formula_source, engine: SatEngine,
     order: list[int] = []
     while seen < config.max_formulas:
         if len(order) < config.batch_size:
-            refill = rng.permutation(len(formulas)).tolist()
-            order.extend(refill)
-        take = order[:config.batch_size]
+            order.extend(rng.permutation(len(formulas)).tolist())
+        batch = [formulas[i] for i in order[:config.batch_size]]
         del order[:config.batch_size]
-        batch = [formulas[i] for i in take]
-        params, state, metrics = reinforce_step(
+        params, _, metrics = reinforce_step(
             params, batch, engine, state, config.seed, config, step=step)
         seen += len(batch)
         step += 1
-        row = {
-            "step": step,
-            "formulas_seen": seen,
-            "loss": metrics.loss,
-            "pruned_fraction": metrics.pruned_fraction,
-            "sat_failure_rate": metrics.sat_failure_rate,
-            "grad_norm": metrics.grad_norm,
-            "eval_loss": "",
-        }
+        row = dict(zip(HISTORY_COLUMNS, (step, seen, *astuple(metrics), "")))
         if eval_set and step % config.eval_every == 0:
             eval_loss = evaluate_loss(params, eval_set, engine, seed=config.seed)
             row["eval_loss"] = eval_loss
-            if eval_loss < best_loss * (1.0 - config.min_delta):
+            if eval_loss < best_loss * (1.0 - MIN_DELTA):
                 stale_evals = 0
             else:
                 stale_evals += 1
@@ -256,11 +239,9 @@ def train(config: TrainConfig, formula_source, engine: SatEngine,
 
 
 def history_to_csv(history, path) -> None:
-    """Write the training history with a stable column order."""
-    columns = ["step", "formulas_seen", "loss", "pruned_fraction",
-               "sat_failure_rate", "grad_norm", "eval_loss"]
+    """Write the training history in ``HISTORY_COLUMNS`` order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=HISTORY_COLUMNS,
+                                extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
-        for row in history:
-            writer.writerow({k: row.get(k, "") for k in columns})
+        writer.writerows(history)

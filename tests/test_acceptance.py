@@ -77,7 +77,7 @@ def trained_model():
     gen_time = time.perf_counter() - t0
     config = TrainConfig(batch_size=16, learning_rate=1e-4, max_formulas=5000,
                          samples_per_formula=1, eval_every=10,
-                         early_stop_window=32, min_delta=0.01, seed=0)
+                         early_stop_window=32, seed=0)
     params0 = init_params(ModelConfig(), 0)
     t0 = time.perf_counter()
     best, history = train(config, corpus, engine, held[:24], params0)

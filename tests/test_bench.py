@@ -197,6 +197,13 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="budgets must be positive"):
             BenchConfig(problems=("a.cnf",), budgets=(1.0, budget))
 
+    def test_infinite_budget_needs_internal_enumerator(self):
+        inf = float("inf")
+        assert BenchConfig(problems=("a.cnf",), budgets=(inf,)).budgets == (inf,)
+        with pytest.raises(ValueError, match="finite budgets"):
+            BenchConfig(problems=("a.cnf",), budgets=(1.0, inf),
+                        external_command="echo 0 1")
+
     def test_deterministic_given_seed(self, tmp_path):
         problems = write_problems(tmp_path, [tiny_unsat(i)
                                              for i in range(2)])

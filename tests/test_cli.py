@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from musprune import bench, cli
-from musprune.cli import main
+from musprune.cli import build_parser, main
 from musprune.cnf import CnfFormula, parse_dimacs, write_dimacs
 from musprune.generators import gen_sr_random
+from musprune.model import ModelConfig
 from musprune.mus import brute_force_muses, truth_table_satisfiable
 from musprune.pruning import random_prune, variable_frequency_prune
 from musprune.sat import SatEngine
+from musprune.training import TrainConfig
 
 
 F1_TEXT = "p cnf 2 4\n1 0\n-1 0\n1 2 0\n-2 0\n"
@@ -71,6 +73,29 @@ class TestTrain:
         assert (capsys.readouterr().err
                 == "error: learning_rate must be finite and positive\n")
         assert not ckpt.exists()
+
+    # Each train flag with a config field behind it: flag dest -> field.
+    FLAG_FIELDS = {
+        "batch_size": (TrainConfig, "batch_size"),
+        "learning_rate": (TrainConfig, "learning_rate"),
+        "max_formulas": (TrainConfig, "max_formulas"),
+        "samples_per_formula": (TrainConfig, "samples_per_formula"),
+        "eval_every": (TrainConfig, "eval_every"),
+        "baseline": (TrainConfig, "use_baseline"),
+        "seed": (TrainConfig, "seed"),
+        "layers": (ModelConfig, "num_layers"),
+        "hidden_dim": (ModelConfig, "hidden_dim"),
+        "random_features": (ModelConfig, "random_feature_dim"),
+        "mlp_hidden_dim": (ModelConfig, "mlp_hidden_dim"),
+    }
+
+    def test_flag_defaults_equal_field_defaults(self):
+        args = vars(build_parser().parse_args(
+            ["train", "--corpus", "c", "--out", "o"]))
+        assert set(args) - set(self.FLAG_FIELDS) == {
+            "command", "func", "corpus", "out", "history", "eval_fraction"}
+        for dest, (cls, name) in self.FLAG_FIELDS.items():
+            assert args[dest] == getattr(cls(), name), dest
 
 
 class TestEnumerate:
@@ -316,6 +341,18 @@ class TestBench:
                      "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
+
+    def test_infinite_budget_with_external_command_exits_1(
+            self, tmp_path, problem_dir, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("benchmark ran")
+        monkeypatch.setattr(bench, "run_benchmark", no_run)
+        assert main(["bench", "--problems", problem_dir, "--pruner", "none",
+                     "--budgets", "1", "inf", "--external-command",
+                     "echo 0 1", "--out", str(tmp_path / "r")]) == 1
+        assert (capsys.readouterr().err
+                == "error: an external enumerator needs finite budgets\n")
         assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
 
     def test_nan_budget_exits_1(self, tmp_path, problem_dir, capsys):

@@ -6,7 +6,8 @@ from musprune.generators import gen_sr_random
 from musprune.lcg import build_lcg, make_input_features
 from musprune.model import (ModelConfig, grad_log_prob, forward, init_params,
                             load_checkpoint, log_prob, sample_mask,
-                            save_checkpoint, score_clauses)
+                            save_checkpoint, score_clauses,
+                            score_with_pullback)
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8, random_feature_dim=4,
                     mlp_hidden_dim=8)
@@ -115,6 +116,39 @@ class TestScoreClauses:
         f, g, p, _ = small_setup()
         x = make_input_features(g, SMALL.random_feature_dim, seed)
         assert np.array_equal(score_clauses(p, f, seed), forward(p, g, x))
+
+
+class TestScoreWithPullback:
+    def test_unit_signal_equals_grad_log_prob(self):
+        f, g, p, _ = small_setup()
+        seed = np.random.SeedSequence(entropy=(0, 1, 2, 3))
+        x = make_input_features(g, SMALL.random_feature_dim, seed)
+        mu, pullback = score_with_pullback(p, f, seed)
+        assert np.array_equal(mu, forward(p, g, x))
+        keep, _ = sample_mask(mu, 11)
+        grads = pullback(keep, 1.0)
+        expected = grad_log_prob(p, g, x, keep)
+        assert set(grads) == set(expected)
+        for k in grads:
+            assert np.array_equal(grads[k], expected[k]), k
+
+    @pytest.mark.parametrize("signal", [-0.75, 0.0, 0.3, 2.5])
+    def test_signal_scales_the_gradient(self, signal):
+        f, g, p, _ = small_setup()
+        x = make_input_features(g, SMALL.random_feature_dim, 7)
+        mu, pullback = score_with_pullback(p, f, 7)
+        keep, _ = sample_mask(mu, 11)
+        grads = pullback(keep, signal)
+        unit = grad_log_prob(p, g, x, keep)
+        for k in grads:
+            assert np.allclose(grads[k], signal * unit[k],
+                               rtol=1e-12, atol=1e-15), k
+
+    def test_mask_length_checked(self):
+        f, _, p, _ = small_setup()
+        mu, pullback = score_with_pullback(p, f, 7)
+        with pytest.raises(ValueError, match="mask length"):
+            pullback(np.ones(len(mu) + 1, dtype=bool), 1.0)
 
 
 class TestSampling:

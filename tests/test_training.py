@@ -7,9 +7,9 @@ from musprune.lcg import build_lcg, make_input_features
 from musprune.model import (ModelConfig, forward, grad_log_prob, init_params,
                             log_prob)
 from musprune.sat import SatEngine
-from musprune.training import (OptimizerState, TrainConfig, adam_update,
-                               evaluate_loss, prune_loss, reinforce_step,
-                               train)
+from musprune.training import (HISTORY_COLUMNS, OptimizerState, TrainConfig,
+                               adam_update, evaluate_loss, prune_loss,
+                               reinforce_step, train)
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8, random_feature_dim=4,
                     mlp_hidden_dim=8)
@@ -57,18 +57,17 @@ class TestAdam:
         p = init_params(SMALL, 0)
         state = OptimizerState()
         grads = {k: np.zeros_like(v) for k, v in p.tensors.items()}
-        p2, state, skipped = adam_update(p, state, grads, lr=0.1)
-        assert not skipped
+        p2 = adam_update(p, state, grads, lr=0.1)
+        assert state.t == 1 and state.skipped_steps == 0
         for k in p.tensors:
             assert np.allclose(p2.tensors[k], p.tensors[k])
 
     def test_first_step_size_is_lr(self):
         # Bias correction makes the first step ~lr regardless of magnitude.
         p = init_params(SMALL, 0)
-        state = OptimizerState()
         for scale in (1e-4, 1.0, 1e4):
             grads = {k: np.full_like(v, scale) for k, v in p.tensors.items()}
-            p2, _, _ = adam_update(p, OptimizerState(), grads, lr=0.01)
+            p2 = adam_update(p, OptimizerState(), grads, lr=0.01)
             delta = p2.tensors["head.w1"] - p.tensors["head.w1"]
             assert np.allclose(np.abs(delta), 0.01, rtol=1e-3)
 
@@ -78,22 +77,47 @@ class TestAdam:
         grads = {k: np.full_like(v, 0.5) for k, v in p.tensors.items()}
         prev = p
         for _ in range(50):
-            p, state, _ = adam_update(p, state, grads, lr=0.01)
+            p = adam_update(p, state, grads, lr=0.01)
             prev_delta = p.tensors["head.b1"] - prev.tensors["head.b1"]
             prev = p
+        assert state.t == 50
         assert np.allclose(np.abs(prev_delta), 0.01, rtol=1e-2)
+
+    def test_step_updates_state_in_place(self):
+        p = init_params(SMALL, 0)
+        state = OptimizerState()
+        grads = {k: np.full_like(v, 0.5) for k, v in p.tensors.items()}
+        adam_update(p, state, grads, lr=0.01)
+        assert state.t == 1
+        assert set(state.m) == set(state.v) == set(p.tensors)
+        assert np.allclose(state.m["head.b1"], 0.05)
+        assert np.allclose(state.v["head.b1"], 0.00025)
 
     def test_nonfinite_gradient_skipped_and_flagged(self):
         p = init_params(SMALL, 0)
         state = OptimizerState()
         grads = {k: np.zeros_like(v) for k, v in p.tensors.items()}
         grads["head.b1"] = grads["head.b1"] + np.nan
-        p2, state, skipped = adam_update(p, state, grads, lr=0.1)
-        assert skipped
+        p2 = adam_update(p, state, grads, lr=0.1)
+        assert p2 is p
         assert state.skipped_steps == 1
         assert state.t == 0
         for k in p.tensors:
             assert np.array_equal(p2.tensors[k], p.tensors[k])
+
+    def test_skipped_step_leaves_moments_untouched(self):
+        p = init_params(SMALL, 0)
+        state = OptimizerState()
+        ones = {k: np.ones_like(v) for k, v in p.tensors.items()}
+        adam_update(p, state, ones, lr=0.01)
+        m, v = dict(state.m), dict(state.v)
+        m_values = {k: a.copy() for k, a in m.items()}
+        bad = dict(ones, **{"head.w2": ones["head.w2"] * np.inf})
+        adam_update(p, state, bad, lr=0.01)
+        assert (state.t, state.skipped_steps) == (1, 1)
+        for k in p.tensors:
+            assert state.m[k] is m[k] and state.v[k] is v[k]
+            assert np.array_equal(state.m[k], m_values[k])
 
 
 class TestReinforceStep:
@@ -110,6 +134,15 @@ class TestReinforceStep:
         for k in out[0][0].tensors:
             assert np.array_equal(out[0][0].tensors[k], out[1][0].tensors[k])
         assert out[0][1].loss == out[1][1].loss
+
+    def test_returns_the_given_state_advanced(self):
+        batch = [gen_sr_random(8, seed=i) for i in range(2)]
+        state = OptimizerState()
+        _, returned, _ = reinforce_step(init_params(SMALL, 0), batch,
+                                        SatEngine(), state, seed=0,
+                                        config=tiny_config(), step=0)
+        assert returned is state
+        assert state.t == 1 and state.skipped_steps == 0
 
     def test_one_sat_call_per_sample(self):
         batch = [gen_sr_random(8, seed=i) for i in range(4)]
@@ -204,6 +237,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             tiny_config(learning_rate=rate)
 
+    def test_min_delta_is_not_settable(self):
+        with pytest.raises(TypeError, match="min_delta"):
+            tiny_config(min_delta=float("nan"))
+
     def test_initial_eval_loss_near_one(self):
         formulas = [gen_sr_random(10, seed=i) for i in range(6)]
         p = init_params(SMALL, 0)
@@ -246,8 +283,10 @@ class TestTrain:
         cfg = tiny_config(max_formulas=4)
         _, hist = train(cfg, formulas, SatEngine(), formulas[:1],
                         init_params(SMALL, 0))
-        assert {"step", "loss", "pruned_fraction", "sat_failure_rate",
-                "grad_norm"} <= set(hist[0])
+        assert all(tuple(row) == HISTORY_COLUMNS for row in hist)
+        assert HISTORY_COLUMNS == ("step", "formulas_seen", "loss",
+                                   "pruned_fraction", "sat_failure_rate",
+                                   "grad_norm", "eval_loss")
 
 
 class TestHistoryCsv:
