@@ -2,9 +2,9 @@
 
 The harness mirrors the evaluation protocol: for each problem, budget,
 and repetition it prunes (time charged against the budget), enumerates
-MUSes on the pruned formula for the remainder, lifts them back to
-original clause indices, and audits a sample for validity. Reports
-aggregate MUS counts as mean +/- standard error.
+MUSes for the remainder, inside the kept clauses first and then over
+the whole formula, and audits a sample for validity. Reports aggregate
+MUS counts as mean +/- standard error.
 """
 
 import os

@@ -1,11 +1,14 @@
 """Benchmark harness: MUS enumeration with and without pruning under a
 wall-clock budget, with pruning time charged against the budget.
 
-A run prunes the problem, enumerates MUSes on the pruned formula for the
-remaining budget, lifts them back to the original clause indices, and
-audits a sample of the lifted MUSes for validity against the original
-formula. ``run_pipeline`` times the whole pruner call, scoring included,
-and charges it to the budget.
+A run prunes the problem, enumerates MUSes for the remaining budget, and
+audits a sample of them for validity against the original formula.
+``run_pipeline`` times the whole pruner call, scoring included, and
+charges it to the budget. The internal MARCO runs once over the original
+formula: inside the pruner's kept clauses first, then, once those hold
+no more MUSes, over the whole formula. An external enumerator gets the
+pruned formula only, and its MUSes are lifted back to the original
+clause indices.
 
 Each harness decision is made once, here: the pruner syntax and labels
 (``PrunerSpec.parse`` and ``label``, driven by one table), the
@@ -240,7 +243,12 @@ def external_enumerator(command_template: str):
 
 def run_pipeline(problem: CnfFormula, pruner, enumerator, budget: float,
                  seed: int = 0, audit_sample: int = 3) -> RunRecord:
-    """Prune, enumerate on the remainder of the budget, lift, audit."""
+    """Prune, enumerate on the remainder of the budget, audit.
+
+    ``enumerator`` is ``enumerate_marco`` (run over ``problem``, kept
+    clauses first) or an adapter run on the pruned formula, whose MUSes
+    are lifted.
+    """
     engine = SatEngine()
     record = RunRecord(problem="", pruner="", budget=budget,
                        repetition=0, seed=seed)
@@ -257,26 +265,32 @@ def run_pipeline(problem: CnfFormula, pruner, enumerator, budget: float,
     if remaining <= 0:
         record.reason = "budget consumed by pruning"
         return record
+    internal = enumerator is enumerate_marco
     t0 = time.perf_counter()
     try:
-        trace = enumerator(outcome.pruned, remaining)
+        if internal:
+            trace = enumerate_marco(problem, remaining,
+                                    first=outcome.index_map)
+        else:
+            trace = enumerator(outcome.pruned, remaining)
     except ValueError as exc:
         record.status = "enum_error"
         record.reason = str(exc)
         record.enum_time = time.perf_counter() - t0
         return record
     record.enum_time = time.perf_counter() - t0
-    lifted = lift_muses(trace, outcome.index_map)
-    record.mus_count = len(lifted.muses)
-    record.seeds_tested = lifted.seeds_tested
-    record.exhausted = lifted.exhausted
-    if lifted.muses and audit_sample > 0:
+    if not internal:
+        trace = lift_muses(trace, outcome.index_map)
+    record.mus_count = len(trace.muses)
+    record.seeds_tested = trace.seeds_tested
+    record.exhausted = trace.exhausted
+    if trace.muses and audit_sample > 0:
         rng = np.random.default_rng(seed)
-        take = min(audit_sample, len(lifted.muses))
-        picks = rng.choice(len(lifted.muses), size=take, replace=False)
+        take = min(audit_sample, len(trace.muses))
+        picks = rng.choice(len(trace.muses), size=take, replace=False)
         for i in picks:
             record.audit_checked += 1
-            if not is_mus(problem, lifted.muses[int(i)].clause_indices,
+            if not is_mus(problem, trace.muses[int(i)].clause_indices,
                           engine=engine):
                 record.audit_ok = False
     return record

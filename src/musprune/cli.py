@@ -187,8 +187,8 @@ def _cmd_validate(args) -> int:
         if r.status not in ("ok", "skipped"):  # enum_error or pruned_sat
             failures.append(f"{r.problem}: {r.pruner}: {r.reason}")
         elif not r.audit_ok:
-            failures.append(f"{r.problem}: {r.pruner}: a lifted MUS is not "
-                            f"a MUS of the input")
+            failures.append(f"{r.problem}: {r.pruner}: an audited MUS is "
+                            f"not a MUS of the input")
     skipped = {r.problem for r in report.records if r.status == "skipped"}
     for path in files:
         print(f"{path}: skipped (satisfiable)" if path in skipped

@@ -5,10 +5,20 @@ online enumerator over a selector-variable map, and a brute-force oracle
 for small instances. The oracle decides satisfiability by bit-parallel
 truth tables and is fully independent of the CDCL engine.
 
-Every subset question goes through one query that returns, for an UNSAT
-subset, the clauses of the solver's assumption core. Shrink keeps only
-that core after each UNSAT answer (clause-set refinement, as in MUSer2),
-so clauses outside a core are dropped without a query of their own.
+Every subset question goes through one query, ``_SubsetSolver.query``,
+that returns either the clauses of an UNSAT answer's assumption core or
+a SAT answer's model. Both are used:
+
+- Shrink keeps only the core after each UNSAT answer (clause-set
+  refinement, as in MUSer2), so clauses outside a core are dropped
+  without a query of their own.
+- When shrink finds a clause critical, the SAT answer's model falsifies
+  that clause alone. Recursive model rotation flips the model's
+  variables one at a time to find more critical clauses, which are then
+  never queried (Belov & Marques-Silva, FMCAD 2011).
+- Grow starts from the seed's model and, after every SAT answer, takes
+  in each clause the answer's model satisfies without a query
+  (model-based grow, Marques-Silva et al., IJCAI 2013).
 """
 
 from __future__ import annotations
@@ -53,21 +63,31 @@ class _SubsetSolver:
     activates it. The solver never branches on a selector, so a selector
     not assumed stays unassigned unless propagated false, and the clauses
     outside the subset cost no decisions. The assumption core of an UNSAT
-    answer maps back to the clauses it activates.
+    answer maps back to the clauses it activates. ``occurs`` maps each
+    literal to the clauses that hold it, for model rotation.
     """
 
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
         engine = engine if engine is not None else SatEngine()
-        self.num_clauses = formula.num_clauses
+        self.clauses = formula.clauses
         self._session = engine.session(formula.num_vars)
         self._selectors = [self._session.add_guarded_clause(clause)
                            for clause in formula.clauses]
         self._clause_of = {s: j for j, s in enumerate(self._selectors)}
+        self._selector_literals = frozenset(
+            lit for s in self._selectors for lit in (s, -s))
+        self.occurs: dict[int, list[int]] = {}
+        for j, clause in enumerate(formula.clauses):
+            for lit in dict.fromkeys(clause):
+                self.occurs.setdefault(lit, []).append(j)
 
-    def unsat_core(self, subset, deadline: float | None = None) -> set[int] | None:
-        """An UNSAT subset of ``subset``, or None if ``subset`` is SAT.
+    def query(self, subset, deadline: float | None = None
+              ) -> tuple[set[int] | None, set[int] | None]:
+        """``(core, None)`` if ``subset`` is UNSAT, ``(None, model)`` if SAT.
 
-        Raises _DeadlinePassed once ``deadline`` (a ``time.perf_counter()``
+        The core is an UNSAT subset of ``subset``; the model is the set of
+        true literals, one per variable of the formula. Raises
+        _DeadlinePassed once ``deadline`` (a ``time.perf_counter()``
         value) passes.
         """
         if deadline is not None and time.perf_counter() >= deadline:
@@ -77,10 +97,10 @@ class _SubsetSolver:
         if result.status == UNKNOWN:
             raise _DeadlinePassed("deadline passed")
         if result.status == SAT:
-            return None
+            return None, result.model - self._selector_literals
         if result.core is None:
             raise AssertionError("internal: UNSAT subset answer without a core")
-        return {self._clause_of[s] for s in result.core}
+        return {self._clause_of[s] for s in result.core}, None
 
 
 def _check_indices(formula: CnfFormula, subset) -> frozenset[int]:
@@ -96,10 +116,10 @@ def is_mus(formula: CnfFormula, subset, engine: SatEngine | None = None) -> bool
     deletion is SAT (Minimal Unsatisfiable Subset)."""
     subset = _check_indices(formula, subset)
     solver = _SubsetSolver(formula, engine)
-    if solver.unsat_core(subset) is None:
+    if solver.query(subset)[0] is None:
         return False
     for c in sorted(subset):
-        if solver.unsat_core(subset - {c}) is not None:
+        if solver.query(subset - {c})[0] is not None:
             return False
     return True
 
@@ -111,43 +131,96 @@ def shrink(formula: CnfFormula, seed, engine: SatEngine | None = None) -> MusRec
     """
     seed = _check_indices(formula, seed)
     solver = _SubsetSolver(formula, engine)
-    if solver.unsat_core(seed) is None:
+    if solver.query(seed)[0] is None:
         raise ValueError("seed subset is satisfiable; nothing to shrink")
     return MusRecord(frozenset(_shrink_in(solver, seed, None)))
 
 
 def _shrink_in(solver: _SubsetSolver, seed: set[int] | frozenset[int],
                deadline: float | None) -> set[int]:
-    """Deletion shrink of an UNSAT seed with clause-set refinement.
+    """Deletion shrink of an UNSAT seed with clause-set refinement and
+    model rotation.
 
     Clauses are tried in ascending index order. When the remainder
     without a clause is UNSAT, the working set becomes that answer's
     core, which drops the clause and any others outside the core; a
-    clause already dropped is not tried.
+    clause already dropped is not tried. When it is SAT, the clause is
+    critical, and ``_rotate`` marks more critical clauses from the
+    answer's model; a critical clause is not tried either.
     """
     current = set(seed)
+    critical: set[int] = set()
     for c in sorted(seed):
-        if c not in current:
+        if c not in current or c in critical:
             continue
-        core = solver.unsat_core(current - {c}, deadline)
+        core, model = solver.query(current - {c}, deadline)
         if core is not None:
             current = core
+        else:
+            critical.add(c)
+            _rotate(solver, c, model, current, critical)
     return current
 
 
-def _grow_in(solver: _SubsetSolver, seed: set[int],
-             deadline: float | None) -> set[int]:
+def _rotate(solver: _SubsetSolver, c: int, model: set[int],
+            current: set[int], critical: set[int]) -> None:
+    """Recursive model rotation (Belov & Marques-Silva, FMCAD 2011).
+
+    ``model`` satisfies every clause of ``current`` but ``c``. Flipping
+    the variable of one of ``c``'s literals satisfies ``c``; if exactly
+    one clause of ``current`` is then false, the flipped model satisfies
+    the rest, so that clause is critical too, and rotation goes on from
+    the flipped model. Each clause is judged under the flipped model, so
+    a tautology is never false. Marks go into ``critical``; a clause
+    already there is not rotated from again. A clause critical for
+    ``current`` is in every UNSAT subset of it, hence in every later core.
+    """
+    clauses, occurs = solver.clauses, solver.occurs
+    stack = [(c, model)]
+    while stack:
+        c, model = stack.pop()
+        for lit in dict.fromkeys(clauses[c]):
+            flipped = model ^ {lit, -lit}
+            false_clause = None
+            for d in occurs.get(-lit, ()):
+                if d in current and flipped.isdisjoint(clauses[d]):
+                    if false_clause is not None:
+                        break
+                    false_clause = d
+            else:
+                if false_clause is not None and false_clause not in critical:
+                    critical.add(false_clause)
+                    stack.append((false_clause, flipped))
+
+
+def _grow_in(solver: _SubsetSolver, seed: set[int], model: set[int],
+             universe, deadline: float | None) -> set[int]:
+    """Grow a satisfiable seed to a maximal satisfiable subset of the
+    ascending clause indices ``universe``; ``model`` satisfies the seed.
+
+    Model-based grow (Marques-Silva et al., IJCAI 2013): every clause of
+    the universe that the latest model satisfies joins without a query,
+    and a clause is queried only when no model so far satisfied it.
+    """
+    clauses = solver.clauses
     current = set(seed)
-    for c in range(solver.num_clauses):
-        if c in current:
-            continue
-        if solver.unsat_core(current | {c}, deadline) is None:
-            current.add(c)
+
+    def absorb(model):
+        current.update(d for d in universe if d not in current
+                       and not model.isdisjoint(clauses[d]))
+
+    absorb(model)
+    for c in universe:
+        if c not in current:
+            core, model = solver.query(current | {c}, deadline)
+            if core is None:
+                absorb(model)
     return current
 
 
-def enumerate_marco(formula: CnfFormula, budget: float,
-                    sink=None, engine: SatEngine | None = None) -> EnumerationTrace:
+def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
+                    engine: SatEngine | None = None,
+                    first=None) -> EnumerationTrace:
     """MARCO-style online MUS enumeration under a wall-clock budget.
 
     Seeds come from a map solver with one variable per clause, true when
@@ -155,39 +228,67 @@ def enumerate_marco(formula: CnfFormula, budget: float,
     seeds maximal. UNSAT seeds shrink to a MUS (supersets then blocked);
     SAT seeds grow to a maximal satisfiable subset (subsets then
     blocked). An UNSAT seed's shrink starts from the core of the seed's
-    own query. Stops when the map empties or, returning the trace so far,
-    when the budget runs out: every query, the first full UNSAT check
-    included, gets the deadline.
+    own query, and a SAT seed's grow from its model. Stops when the map
+    empties or, returning the trace so far, when the budget runs out:
+    every query, the first full UNSAT check included, gets the deadline.
+
+    ``first``, when given, is a set of clause indices (a pruner's kept
+    set) to enumerate inside first: the map leaves every other clause
+    out, and grow stays inside ``first``. Once that restricted map is
+    exhausted, the enumeration goes on over the whole map, with every
+    MUS and satisfiable set found so far still blocked; a satisfiable
+    set stays satisfiable, so its block stays sound. MUSes are in the
+    formula's own indices, and ``exhausted`` refers to the whole formula.
     """
     if not budget > 0:  # NaN included
         raise ValueError("budget must be positive")
     deadline = time.perf_counter() + budget
     m = formula.num_clauses
+    universe = range(m) if first is None else sorted(
+        _check_indices(formula, first))
+    restricted = len(universe) < m
     solver = _SubsetSolver(formula, engine)
+    # The restricted map fixes every clause outside ``first`` left out by
+    # a unit clause, so root simplification keeps its blocking clauses
+    # short. Assumed instead, those literals would sit in every blocking
+    # clause of a satisfiable set and in the learned clauses. The whole
+    # map, built when the restricted one is exhausted, gets the blocking
+    # clauses in full.
     map_solver = Solver(num_vars=m)
+    for j in sorted(set(range(m)) - set(universe)):
+        map_solver.add_clause([j + 1])
+    blocks: list[list[int]] = []
     trace = EnumerationTrace()
     try:
-        if solver.unsat_core(range(m), deadline) is None:
+        if solver.query(range(m), deadline)[0] is None:
             raise ValueError("formula is satisfiable; it has no MUS")
         while time.perf_counter() < deadline:
             result = map_solver.solve(deadline=deadline)
+            if result.status == UNSAT and restricted:
+                map_solver = Solver(num_vars=m)
+                for block in blocks:
+                    map_solver.add_clause(block)
+                universe, restricted = range(m), False
+                continue
             if result.status != SAT:
                 trace.exhausted = result.status == UNSAT
                 break
             seed = {j for j in range(m) if -(j + 1) in result.model}
             trace.seeds_tested += 1
-            core = solver.unsat_core(seed, deadline)
+            core, model = solver.query(seed, deadline)
             if core is None:
-                mss = _grow_in(solver, seed, deadline)
-                map_solver.add_clause([-(j + 1) for j in range(m)
-                                       if j not in mss])
-                continue
-            mus_set = _shrink_in(solver, core, deadline)
-            record = MusRecord(frozenset(mus_set))
-            trace.muses.append(record)
-            if sink is not None:
-                sink(record)
-            map_solver.add_clause([j + 1 for j in sorted(mus_set)])
+                mss = _grow_in(solver, seed, model, universe, deadline)
+                block = [-(j + 1) for j in range(m) if j not in mss]
+            else:
+                mus_set = _shrink_in(solver, core, deadline)
+                record = MusRecord(frozenset(mus_set))
+                trace.muses.append(record)
+                if sink is not None:
+                    sink(record)
+                block = [j + 1 for j in sorted(mus_set)]
+            map_solver.add_clause(block)
+            if restricted:
+                blocks.append(block)
     except _DeadlinePassed:
         pass
     return trace

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from musprune import pruning
+from musprune import bench, pruning
 from musprune.bench import (BenchConfig, BenchReport, PrunerSpec, RunRecord,
                             aggregates_to_csv, external_enumerator,
                             REPORT_FORMATS, emit_report, make_pruner,
@@ -107,6 +108,74 @@ class TestRunPipeline:
                               enumerate_marco, 1.0, seed=0)
         assert record.status == "enum_error"
         assert "satisfiable" in record.reason
+
+
+class TestContinuation:
+    """Internal MARCO enumerates the kept clauses first, then goes on over
+    the whole formula; an external enumerator sees the pruned formula."""
+
+    @staticmethod
+    def capturing(spec, outcomes):
+        pruner = make_pruner(spec)
+
+        def run(formula, engine, seed):
+            outcomes.append(pruner(formula, engine, seed))
+            return outcomes[-1]
+        return run
+
+    @pytest.mark.parametrize("kind", ["var_freq", "clause_length"])
+    def test_exhausted_run_gives_every_mus_of_the_original(
+            self, kind, monkeypatch):
+        calls, outcomes = [], []
+
+        def recording(formula, budget, **kwargs):
+            calls.append((formula, kwargs))
+            trace = enumerate_marco(formula, budget, **kwargs)
+            calls[-1] += (trace,)
+            return trace
+
+        monkeypatch.setattr(bench, "enumerate_marco", recording)
+        pruner = self.capturing(PrunerSpec(kind=kind), outcomes)
+        more_than_kept = 0
+        for s in range(20):
+            f = tiny_unsat(s)
+            oracle = {r.clause_indices for r in brute_force_muses(f)}
+            record = run_pipeline(f, pruner, recording, math.inf, seed=s,
+                                  audit_sample=len(oracle))
+            formula, kwargs, trace = calls[-1]
+            kept = set(outcomes[-1].index_map)
+            assert formula == f and kwargs == {"first": outcomes[-1].index_map}
+            found = [r.clause_indices for r in trace.muses]
+            assert len(found) == len(set(found)) and set(found) == oracle
+            inside = sum(mus <= kept for mus in oracle)
+            assert all(mus <= kept for mus in found[:inside])
+            assert record.status == "ok" and record.exhausted
+            assert record.mus_count == len(oracle)
+            assert record.audit_checked == len(oracle) and record.audit_ok
+            more_than_kept += inside < len(oracle)
+        assert more_than_kept >= 5
+
+    def test_external_enumerator_lifts_from_the_pruned_formula(self):
+        given, outcomes = [], []
+
+        def external(formula, budget):
+            given.append(formula)
+            return enumerate_marco(formula, budget)
+
+        pruner = self.capturing(PrunerSpec(kind="var_freq"), outcomes)
+        pruned = 0
+        for s in range(20):
+            f = tiny_unsat(s)
+            record = run_pipeline(f, pruner, external, 30.0, seed=s,
+                                  audit_sample=100)
+            outcome = outcomes[-1]
+            assert given[-1] == outcome.pruned
+            assert record.mus_count == len(brute_force_muses(outcome.pruned))
+            assert record.exhausted
+            assert record.audit_checked == record.mus_count
+            assert record.audit_ok
+            pruned += outcome.pruned.num_clauses < f.num_clauses
+        assert pruned >= 10
 
 
 class TestPrunerSpec:

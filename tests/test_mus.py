@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from musprune.cnf import CnfFormula
-from musprune.generators import coloring_encoding
+from musprune.generators import coloring_encoding, gen_sr_random
 from musprune.mus import (EnumerationTrace, MusRecord, _DeadlinePassed,
                           _SubsetSolver, brute_force_muses, enumerate_marco,
                           is_mus, lift_muses, shrink, truth_table_satisfiable)
+from musprune.sat import SatEngine
 
 F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 
@@ -56,23 +57,26 @@ def k8_seven_colouring():
 
 class TestUnsatCore:
     def test_sat_subset_has_none(self):
-        assert _SubsetSolver(F1).unsat_core({0, 2}) is None
+        core, model = _SubsetSolver(F1).query({0, 2})
+        assert core is None
+        assert 1 in model and {abs(lit) for lit in model} == {1, 2}
 
     def test_core_is_unsat_subset(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = random_unsat(rng)
-            core = _SubsetSolver(f).unsat_core(range(f.num_clauses))
+            core, model = _SubsetSolver(f).query(range(f.num_clauses))
+            assert model is None
             assert core <= set(range(f.num_clauses))
             assert not truth_table_satisfiable(f.induced(sorted(core)))
 
     def test_core_leaves_out_unused_clauses(self):
         f = CnfFormula(3, [[1], [-1], [2, 3], [-3]])
-        assert _SubsetSolver(f).unsat_core(range(4)) == {0, 1}
+        assert _SubsetSolver(f).query(range(4)) == ({0, 1}, None)
 
     def test_passed_deadline_raises(self):
         with pytest.raises(_DeadlinePassed):
-            _SubsetSolver(F1).unsat_core({0, 1}, time.perf_counter())
+            _SubsetSolver(F1).query({0, 1}, time.perf_counter())
 
 
 class TestShrink:
@@ -150,6 +154,16 @@ class TestEnumerateMarco:
             assert trace.exhausted
             assert mus_sets(trace.muses) == mus_sets(brute_force_muses(f))
 
+    def test_first_clauses_enumerated_first(self):
+        trace = enumerate_marco(F1, 30.0, first={1, 2, 3})
+        assert [r.sorted_indices() for r in trace.muses] == [[1, 2, 3],
+                                                             [0, 1]]
+        assert trace.exhausted
+
+    def test_first_index_out_of_range(self):
+        with pytest.raises(IndexError, match="out of range"):
+            enumerate_marco(F1, 30.0, first={0, 4})
+
     def test_sink_called_per_mus(self):
         collected = []
         trace = enumerate_marco(F1, 30.0, sink=collected.append)
@@ -170,6 +184,35 @@ class TestEnumerateMarco:
         trace = enumerate_marco(f, 1e-9)
         assert not trace.exhausted
         assert trace.muses == []
+
+
+class TestQueryCount:
+    def test_subset_queries_per_mus_on_sr_formulas(self):
+        """A count, not a timing. MARCO to the 4th MUS on 16 seeded SR
+        formulas of 26-34 variables made 2,021 subset queries for 64 MUSes
+        (31.6 per MUS) with deletion shrink and one query per grow
+        candidate, and 683 (10.7 per MUS) once shrink rotates models and
+        grow takes in what each model satisfies. The bound is under half
+        the first figure."""
+        class Enough(Exception):
+            pass
+
+        queries = muses = 0
+        for i in range(16):
+            f = gen_sr_random(26 + i * 9 // 16, seed=(16, i))
+            engine, found = SatEngine(), []
+
+            def sink(record):
+                found.append(record)
+                if len(found) == 4:
+                    raise Enough
+
+            with pytest.raises(Enough):
+                enumerate_marco(f, 600.0, sink=sink, engine=engine)
+            queries += engine.calls
+            muses += len(found)
+        assert muses == 64
+        assert queries / muses <= 15.0, queries
 
 
 class TestLiftMuses:

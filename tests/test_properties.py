@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from musprune import sat
@@ -18,7 +18,8 @@ from musprune.cnf import (CnfFormula, DimacsFormatError, parse_dimacs,
                           write_dimacs)
 from musprune.lcg import build_lcg, make_input_features
 from musprune.model import ModelConfig, forward, init_params
-from musprune.mus import (_SubsetSolver, brute_force_muses, enumerate_marco,
+from musprune.mus import (BRUTE_FORCE_CLAUSE_LIMIT, _grow_in, _rotate,
+                          _SubsetSolver, brute_force_muses, enumerate_marco,
                           is_mus, lift_muses, shrink, truth_table_satisfiable)
 from musprune.pruning import (clause_length_prune, threshold_prune,
                               variable_frequency_prune)
@@ -117,6 +118,39 @@ def small_unsat(draw):
             f = CnfFormula(f.num_vars,
                            list(f.clauses) + [[-v if v in model else v]])
     return f
+
+
+@st.composite
+def noisy_unsat(draw):
+    """A small UNSAT formula with one to three clauses spliced in, each a
+    tautology or a clause that repeats a literal; ``CnfFormula`` keeps
+    both as given."""
+    f = draw(small_unsat())
+    clauses = list(f.clauses)
+    literal = st.integers(1, f.num_vars).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+    for _ in range(draw(st.integers(1, 3))):
+        lit, other = draw(literal), draw(literal)
+        clause = draw(st.sampled_from([[lit, other, -lit], [lit, other, lit]]))
+        clauses.insert(draw(st.integers(0, len(clauses))), clause)
+    return CnfFormula(f.num_vars, clauses)
+
+
+def assignments(num_vars):
+    """Every total assignment of variables 1..num_vars, as the set of its
+    true literals."""
+    for bits in range(1 << num_vars):
+        yield {v if bits >> (v - 1) & 1 else -v
+               for v in range(1, num_vars + 1)}
+
+
+def unsat_subset(f, data):
+    """A drawn UNSAT subset of ``f``'s clauses; all of them if the drawn
+    one is SAT."""
+    subset = data.draw(st.sets(st.integers(0, f.num_clauses - 1)))
+    if truth_table_satisfiable(f.induced(subset)):
+        return set(range(f.num_clauses))
+    return subset
 
 
 class TestCdcl:
@@ -335,15 +369,17 @@ class TestNonDecisionSelectors:
             mp.setattr(Solver, "_decide", recording_decide(picks))
             solver = _SubsetSolver(f)
             for subset in subsets:
-                solver.unsat_core(subset)
+                solver.query(subset)
         assert all(v <= f.num_vars for v in picks)
 
     @SETTINGS
     @given(st.one_of(small_unsat(), three_sat()), st.data())
     def test_subset_cores_on_a_reused_solver(self, f, data):
         """One subset solver answers a drawn sequence of clause subsets.
-        Every answer agrees with the truth table on the subset, and every
-        core is a subset of its query's clauses that is UNSAT."""
+        Every answer agrees with the truth table on the subset, every
+        core is a subset of its query's clauses that is UNSAT, and every
+        model sets each variable of the formula once and satisfies the
+        subset."""
         def clauses(indices):
             return CnfFormula(f.num_vars, [f.clauses[j] for j in indices])
 
@@ -352,33 +388,113 @@ class TestNonDecisionSelectors:
             st.sets(st.integers(0, f.num_clauses - 1)), min_size=1,
             max_size=10))
         for subset in subsets:
-            core = solver.unsat_core(subset)
+            core, model = solver.query(subset)
             assert (core is None) == truth_table_satisfiable(clauses(subset))
+            assert (core is None) != (model is None)
             if core is not None:
                 assert core <= subset
                 assert not truth_table_satisfiable(clauses(core))
+            else:
+                assert {abs(lit) for lit in model} == set(
+                    range(1, f.num_vars + 1))
+                assert len(model) == f.num_vars
+                assert satisfies(model, clauses(subset).clauses)
 
 
 class TestMus:
     @SETTINGS
-    @given(small_unsat())
+    @given(st.one_of(small_unsat(), noisy_unsat()))
     def test_exhausted_marco_equals_brute_force(self, f):
+        assume(f.num_clauses <= BRUTE_FORCE_CLAUSE_LIMIT)
         trace = enumerate_marco(f, 60.0)
         assert trace.exhausted
         assert ({r.clause_indices for r in trace.muses}
                 == {r.clause_indices for r in brute_force_muses(f)})
 
     @SETTINGS
-    @given(small_unsat(), st.data())
+    @given(st.one_of(small_unsat(), noisy_unsat()), st.data())
     def test_shrink_returns_mus_inside_seed(self, f, data):
+        """Shrink of an UNSAT seed is a MUS inside it, by the truth table."""
+        seed = unsat_subset(f, data)
+        mus = shrink(f, seed).clause_indices
+        assert mus <= seed
+        assert not truth_table_satisfiable(f.induced(mus))
+        for c in mus:
+            assert truth_table_satisfiable(f.induced(mus - {c}))
+
+
+def reference_rotation(f, c, model, current):
+    """The clauses ``_rotate`` should mark, found in its order, but with
+    every clause of ``current`` judged under each flipped model."""
+    marked = {c}
+    stack = [(c, model)]
+    while stack:
+        c, model = stack.pop()
+        for lit in dict.fromkeys(f.clauses[c]):
+            flipped = (model - {-lit}) | {lit}
+            false = [d for d in sorted(current)
+                     if not satisfies(flipped, [f.clauses[d]])]
+            if len(false) == 1 and false[0] not in marked:
+                marked.add(false[0])
+                stack.append((false[0], flipped))
+    return marked
+
+
+class TestModelUse:
+    @SETTINGS
+    @given(noisy_unsat(), st.data())
+    def test_rotation_marks_only_critical_clauses(self, f, data):
+        """For every critical clause ``c`` of an UNSAT clause set and every
+        model of the set without ``c``, rotation marks the clauses the
+        reference marks, and each is critical: the set without it is
+        satisfiable. A tautology never is."""
+        current = unsat_subset(f, data)
+        critical = {c for c in current
+                    if truth_table_satisfiable(f.induced(current - {c}))}
+        solver = _SubsetSolver(f)
+        for c in sorted(critical):
+            rest = [f.clauses[d] for d in current - {c}]
+            for model in assignments(f.num_vars):
+                if satisfies(model, rest):
+                    marked = {c}
+                    _rotate(solver, c, model, current, marked)
+                    assert marked <= critical, (c, sorted(model))
+                    assert marked == reference_rotation(f, c, model, current)
+
+    @SETTINGS
+    @given(noisy_unsat(), st.data())
+    def test_grow_returns_maximal_satisfiable_subset(self, f, data):
+        """Grow from a seed that a drawn model satisfies is satisfiable,
+        lies inside its universe, and turns UNSAT with any excluded
+        clause of the universe added."""
         m = f.num_clauses
-        extra = data.draw(st.sets(st.integers(0, m - 1)))
-        # A seed that contains a MUS is UNSAT.
-        some_mus = min(brute_force_muses(f), key=lambda r: r.sorted_indices())
-        seed = set(some_mus.clause_indices) | extra
-        record = shrink(f, seed)
-        assert record.clause_indices <= seed
-        assert is_mus(f, record.clause_indices)
+        universe = sorted(data.draw(st.sets(st.integers(0, m - 1),
+                                            min_size=1)))
+        model = data.draw(st.sampled_from(list(assignments(f.num_vars))))
+        satisfied = [c for c in universe
+                     if not model.isdisjoint(f.clauses[c])]
+        seed = data.draw(st.sets(st.sampled_from(satisfied))
+                         if satisfied else st.just(set()))
+        grown = _grow_in(_SubsetSolver(f), seed, model, universe, None)
+        assert seed <= grown <= set(universe)
+        assert truth_table_satisfiable(f.induced(grown))
+        for c in set(universe) - grown:
+            assert not truth_table_satisfiable(f.induced(grown | {c}))
+
+    @SETTINGS
+    @given(noisy_unsat(), st.data())
+    def test_marco_continues_past_its_first_clauses(self, f, data):
+        """With ``first`` set, the MUSes inside ``first`` come first, and
+        an exhausted run gives every MUS of the formula."""
+        assume(f.num_clauses <= BRUTE_FORCE_CLAUSE_LIMIT)
+        first = data.draw(st.sets(st.integers(0, f.num_clauses - 1)))
+        trace = enumerate_marco(f, 60.0, first=first)
+        found = [r.clause_indices for r in trace.muses]
+        oracle = {r.clause_indices for r in brute_force_muses(f)}
+        inside = sum(mus <= first for mus in oracle)
+        assert trace.exhausted
+        assert len(found) == len(set(found)) and set(found) == oracle
+        assert all(mus <= first for mus in found[:inside])
 
 
 def check_pruning(f, outcome, engine, k):
