@@ -16,11 +16,17 @@ the set of true literals, one per variable; an unassigned selector
 appears negated, which is sound because selectors occur only negatively.
 
 Supports assumption literals (forced true for one query), incremental
-clause addition at the root level, and a per-query wall-clock deadline,
-whose passing is reported as UNKNOWN, distinct from SAT/UNSAT. All
-assumptions share decision level 1. A conflict there is UNSAT, with a
-core: the assumptions reached by walking reasons back from the conflict
-clause (MiniSat ``analyzeFinal``).
+clause addition, and a per-query wall-clock deadline, whose passing is
+reported as UNKNOWN, distinct from SAT/UNSAT. All assumptions share
+decision level 1. A conflict there is UNSAT, with a core: the
+assumptions reached by walking reasons back from the conflict clause
+(MiniSat ``analyzeFinal``).
+
+An assumption-free SAT answer keeps its trail. A clause added next
+backtracks only as far as it needs, and the next assumption-free solve
+goes on from there, so a caller that adds one blocking clause per answer
+does not re-decide every variable (van der Tak, Ramos & Heule, JSAT
+2011). A solve with assumptions starts and ends at the root.
 """
 
 from __future__ import annotations
@@ -137,9 +143,16 @@ class Solver:
 
     def add_clause(self, lits) -> None:
         """Add a problem clause. Duplicate literals are merged; tautologies
-        are dropped. Must be called with the trail at the root level (the
-        solver backtracks there automatically)."""
-        self._backtrack(0)
+        are dropped.
+
+        The trail may stand above the root, as an assumption-free SAT
+        answer leaves it. Literals assigned at level 0 simplify the clause;
+        of the others, the two latest are watched, an unassigned literal
+        counting as later than any assigned one. If either of the two is
+        assigned, the trail goes back to one level below the second-latest
+        literal's, which frees both. A unit or empty clause goes to the
+        root. At the root this is plain root-level simplification.
+        """
         seen = set()
         clause = []
         for lit in lits:
@@ -155,21 +168,40 @@ class Solver:
         self._recorded.append(tuple(clause))
         if not self.ok:
             return
-        # Root-level simplification: every assignment is at level 0.
-        simplified = []
+        assign, level = self._assign, self._level
+        free = len(self._trail_lim) + 1  # the key of an unassigned literal
+        kept: list[int] = []
+        k0 = k1 = i0 = i1 = -1  # keys and positions of the two latest
         for lit in clause:
-            val = self._value(lit)
-            if val == 1:
-                return  # already satisfied forever
-            if val == 0:
-                simplified.append(lit)  # a false literal is dropped
-        if not simplified:
-            self.ok = False
+            v = lit if lit > 0 else -lit
+            a = assign[v]
+            if a == 0:
+                key = free
+            else:
+                key = level[v]
+                if key == 0:
+                    if (a > 0) == (lit > 0):
+                        return  # satisfied forever
+                    continue  # false forever: dropped
+            if key > k0:
+                k1, i1, k0, i0 = k0, i0, key, len(kept)
+            elif key > k1:
+                k1, i1 = key, len(kept)
+            kept.append(lit)
+        if len(kept) < 2:
+            self._backtrack(0)
+            if kept:
+                self._enqueue(kept[0], None)
+            else:
+                self.ok = False
             return
-        if len(simplified) == 1:
-            self._enqueue(simplified[0], None)
-            return
-        self._attach(simplified)
+        if k1 < free:
+            self._backtrack(k1 - 1)
+        kept[0], kept[i0] = kept[i0], kept[0]
+        if i1 == 0:
+            i1 = i0
+        kept[1], kept[i1] = kept[i1], kept[1]
+        self._attach(kept)
 
     def _attach(self, clause: list[int]) -> None:
         self._watches[self._code(clause[0])].append(clause)
@@ -181,10 +213,6 @@ class Solver:
     @staticmethod
     def _code(lit: int) -> int:
         return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-    def _value(self, lit: int) -> int:
-        a = self._assign[lit if lit > 0 else -lit]
-        return a if lit > 0 else -a
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         v = abs(lit)
@@ -237,8 +265,8 @@ class Solver:
     def _propagate(self) -> list[int] | None:
         """Propagate pending assignments; returns a conflicting clause.
 
-        The engine's hottest loop: ``_value``, ``_code`` and ``_enqueue``
-        are written out inline.
+        The engine's hottest loop: literal values, ``_code`` and
+        ``_enqueue`` are written out inline.
         """
         trail, assign, watches = self._trail, self._assign, self._watches
         level, reason, trail_lim = self._level, self._reason, self._trail_lim
@@ -250,6 +278,8 @@ class Solver:
             falsified = -p
             fcode = ((p << 1) | 1) if p > 0 else (falsified << 1)
             watchers = watches[fcode]
+            if not watchers:
+                continue
             keep: list[list[int]] = []
             idx = 0
             n = len(watchers)
@@ -363,25 +393,36 @@ class Solver:
         """Decide satisfiability under the given assumption literals.
 
         Assumptions not already true are enqueued together on level 1 and
-        propagated once; one false at the root is the core ``[a]``. Returns
-        UNKNOWN once ``time.perf_counter()`` passes ``deadline``, checked at
-        every conflict.
+        propagated once; one false at the root is the core ``[a]``. A solve
+        with assumptions starts at the root and returns there. One without
+        starts from the trail as it stands and, on SAT, leaves it in place.
+        Returns UNKNOWN once ``time.perf_counter()`` passes ``deadline``,
+        checked at every conflict. UNSAT, UNKNOWN and restarts go back to
+        the root.
         """
         assumptions = [int(a) for a in assumptions]
-        polarity: dict[int, int] = {}
-        for a in assumptions:
-            v = abs(a)
-            if a == 0 or v > self.num_vars:
-                raise ValueError(f"assumption literal {a} out of range")
-            sign = 1 if a > 0 else -1
-            if polarity.get(v, sign) != sign:
-                raise ValueError(f"assumptions set variable {v} both ways")
-            polarity[v] = sign
+        if assumptions:
+            lits = set(assumptions)
+            n = self.num_vars
+            if (0 in lits or max(lits) > n or -min(lits) > n
+                    or len({abs(a) for a in lits}) < len(lits)):
+                # Name the first offender, in the caller's order.
+                seen: set[int] = set()
+                for a in assumptions:
+                    if a == 0 or abs(a) > n:
+                        raise ValueError(f"assumption literal {a} out of range")
+                    if -a in seen:
+                        raise ValueError(
+                            f"assumptions set variable {abs(a)} both ways")
+                    seen.add(a)
         self.stats = SolveStats()
-        self._backtrack(0)
+        if assumptions:
+            self._backtrack(0)
         if not self.ok:
             return SatResult(UNSAT, None, self.stats)
-        if self._propagate() is not None:
+        # Above the root, the main loop's propagation finds any conflict,
+        # and one there is not root UNSAT.
+        if not self._trail_lim and self._propagate() is not None:
             self.ok = False
             return SatResult(UNSAT, None, self.stats)
 
@@ -419,21 +460,29 @@ class Solver:
                     self._backtrack(0)
                 continue
             if assumptions and not self._trail_lim:
-                self._trail_lim.append(len(self._trail))
+                # ``_enqueue`` written out inline.
+                trail, assign = self._trail, self._assign
+                level, reason = self._level, self._reason
+                self._trail_lim.append(len(trail))
                 for a in assumptions:
-                    val = self._value(a)
-                    if val == -1:  # false at the root
+                    v = a if a > 0 else -a
+                    val = assign[v]
+                    if val == 0:
+                        assign[v] = 1 if a > 0 else -1
+                        level[v] = 1
+                        reason[v] = None
+                        trail.append(a)
+                    elif (val > 0) != (a > 0):  # false at the root
                         self._backtrack(0)
                         return SatResult(UNSAT, None, self.stats, [a])
-                    if val == 0:
-                        self._enqueue(a, None)
                 continue
             if not self._decide():
                 assign = self._assign
                 model = {v if assign[v] == 1 else -v
                          for v in range(1, self.num_vars + 1)}
                 self._verify(model, assumptions)
-                self._backtrack(0)
+                if assumptions:
+                    self._backtrack(0)
                 return SatResult(SAT, model, self.stats)
 
     def _verify(self, model: set[int], assumptions) -> None:

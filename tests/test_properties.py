@@ -401,6 +401,99 @@ class TestNonDecisionSelectors:
                 assert satisfies(model, clauses(subset).clauses)
 
 
+@st.composite
+def trail_clause(draw, num_vars, model):
+    """A clause over variables 1..num_vars, in drawn order: a random one,
+    a unit, a tautology or one that repeats a literal; and, given the
+    last SAT answer's model (whose trail an assumption-free solve leaves
+    in place), one it satisfies, one it falsifies, or one true on a
+    single literal with the rest false."""
+    literal = st.integers(1, num_vars).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+    kinds = ["random", "unit", "tautology", "repeat"]
+    if model is not None:
+        kinds += ["satisfied", "falsified", "one_true"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        clause = draw(st.lists(literal, min_size=1, max_size=4))
+    elif kind == "unit":
+        clause = [draw(literal)]
+    elif kind in ("tautology", "repeat"):
+        lit = draw(literal)
+        clause = [lit, draw(literal), -lit if kind == "tautology" else lit]
+    else:
+        true = st.sampled_from(sorted(lit for lit in model
+                                      if abs(lit) <= num_vars))
+        false = true.map(lambda lit: -lit)
+        if kind == "satisfied":
+            clause = (draw(st.lists(true, min_size=1, max_size=2))
+                      + draw(st.lists(literal, max_size=2)))
+        elif kind == "falsified":
+            clause = draw(st.lists(false, min_size=1, max_size=4))
+        else:
+            clause = [draw(true)] + draw(st.lists(false, max_size=3))
+    return draw(st.permutations(clause))
+
+
+class TestKeptTrail:
+    @settings(SETTINGS, max_examples=400)
+    @given(st.integers(1, 10), st.data())
+    def test_interleavings_agree_with_truth_table(self, n, data):
+        """One solver takes a drawn interleaving of clause additions,
+        guarded clause additions and solves, with and without assumptions,
+        some under a passed deadline. An assumption-free SAT answer leaves
+        its trail in place, so clauses arrive while decisions stand:
+        satisfied, falsified, or true on one literal under the kept trail,
+        and unit on a fresh selector when a falsified clause is guarded.
+        Every answer agrees with the truth table on the clauses so far,
+        every model satisfies all of them and the assumptions, and every
+        core is a subset of the assumptions that is UNSAT with them."""
+        solver = Solver(num_vars=n)
+        clauses: list[list[int]] = []  # guarded ones with their selector
+        selectors: list[int] = []
+        model = None
+        for _ in range(data.draw(st.integers(1, 24))):
+            op = data.draw(st.sampled_from(["add", "add", "guard", "solve"]))
+            if op == "guard" and len(selectors) < 4:
+                clause = data.draw(trail_clause(n, model))
+                s = solver.add_guarded_clause(clause)
+                selectors.append(s)
+                clauses.append([*clause, -s])
+                continue
+            if op != "solve":
+                clause = data.draw(trail_clause(n, model))
+                solver.add_clause(clause)
+                clauses.append(clause)
+                continue
+            assumptions = []
+            if data.draw(st.booleans()):
+                assumptions = data.draw(assumption_sets(n)) + data.draw(
+                    st.lists(st.sampled_from(selectors), unique=True)
+                    if selectors else st.just([]))
+            give_up = data.draw(st.booleans())
+            r = solver.solve(assumptions,
+                             time.perf_counter() if give_up else None)
+            if r.status == UNKNOWN:
+                continue
+            current = CnfFormula(solver.num_vars, clauses)
+            assert (r.status == SAT) == truth_table_satisfiable(
+                with_units(current, assumptions))
+            if r.status == SAT:
+                assert satisfies(r.model, clauses)
+                assert r.model.issuperset(assumptions)
+                model = r.model
+            elif r.core is not None:
+                assert set(r.core) <= set(assumptions)
+                assert not truth_table_satisfiable(with_units(current, r.core))
+            else:
+                assert not truth_table_satisfiable(current)
+        r = solver.solve()
+        current = CnfFormula(solver.num_vars, clauses)
+        assert (r.status == SAT) == truth_table_satisfiable(current)
+        if r.status == SAT:
+            assert satisfies(r.model, clauses)
+
+
 class TestMus:
     @SETTINGS
     @given(st.one_of(small_unsat(), noisy_unsat()))

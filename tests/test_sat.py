@@ -90,6 +90,19 @@ class TestAssumptions:
         with pytest.raises(ValueError, match="both ways"):
             SatEngine().solve(CnfFormula(1, [[1]]), assumptions=[1, -1])
 
+    @pytest.mark.parametrize("assumptions, message", [
+        ([1, -1, 99], "assumptions set variable 1 both ways"),
+        ([1, 2, -2, -1], "assumptions set variable 2 both ways"),
+        ([99, 1, -1], "assumption literal 99 out of range"),
+        ([1, 0, -1], "assumption literal 0 out of range"),
+        ([2, -3, -4], "assumption literal -4 out of range"),
+    ])
+    def test_first_bad_assumption_is_named(self, assumptions, message):
+        solver = Solver(3)
+        solver.add_clause([1, 2, 3])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solver.solve(assumptions)
+
     def test_equals_unit_clause_addition(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
@@ -256,6 +269,28 @@ class TestIncremental:
                 partial = CnfFormula(f.num_vars, f.clauses[: i + 1])
                 expected = truth_table_satisfiable(partial)
                 assert (session.model() is not None) == expected
+
+
+    def test_kept_trail_saves_decisions(self):
+        """A count, not a timing. An assumption-free SAT answer leaves its
+        trail in place; a clause that rules out the two latest decisions
+        sends the search back only past their levels, so the next solve
+        takes fewer decisions than a fresh solver on the same clauses."""
+        rng = np.random.default_rng(13)
+        f = CnfFormula(40, [[int(v) * int(s) for v, s in zip(
+            rng.choice(40, size=3, replace=False) + 1,
+            rng.integers(0, 2, size=3) * 2 - 1)] for _ in range(100)])
+        solver = Solver(num_vars=f.num_vars)
+        for clause in f.clauses:
+            solver.add_clause(clause)
+        assert solver.solve().status == SAT
+        assert len(solver._trail_lim) > 4
+        clause = [-solver._trail[i] for i in solver._trail_lim[-2:]]
+        solver.add_clause(clause)
+        kept = solver.solve()
+        fresh = SatEngine().solve(CnfFormula(f.num_vars, [*f.clauses, clause]))
+        assert kept.status == fresh.status == SAT
+        assert kept.stats.decisions < fresh.stats.decisions
 
 
 class TestDeterminism:
