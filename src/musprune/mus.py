@@ -5,9 +5,9 @@ online enumerator over a selector-variable map, and a brute-force oracle
 for small instances. The oracle decides satisfiability by bit-parallel
 truth tables and is fully independent of the CDCL engine.
 
-Every subset question goes through one query, ``_SubsetSolver.query``,
-that returns either the clauses of an UNSAT answer's assumption core or
-a SAT answer's model. Both are used:
+Every subset question, MARCO's and the pruners' threshold search's,
+goes through ``SubsetSolver.query``: the clauses of an UNSAT answer's
+assumption core, or a SAT answer's model. MARCO uses both:
 
 - Shrink keeps only the core after each UNSAT answer (clause-set
   refinement, as in MUSer2), so clauses outside a core are dropped
@@ -56,7 +56,7 @@ class _DeadlinePassed(Exception):
     """A subset query gave up because its deadline passed."""
 
 
-class _SubsetSolver:
+class SubsetSolver:
     """Incremental subset-satisfiability queries via one selector per clause.
 
     Each clause is added as a guarded clause; assuming its selector
@@ -115,7 +115,7 @@ def is_mus(formula: CnfFormula, subset, engine: SatEngine | None = None) -> bool
     """True iff the induced subset is UNSAT and every single-clause
     deletion is SAT (Minimal Unsatisfiable Subset)."""
     subset = _check_indices(formula, subset)
-    solver = _SubsetSolver(formula, engine)
+    solver = SubsetSolver(formula, engine)
     if solver.query(subset)[0] is None:
         return False
     for c in sorted(subset):
@@ -130,13 +130,13 @@ def shrink(formula: CnfFormula, seed, engine: SatEngine | None = None) -> MusRec
     See ``_shrink_in``. Raises ValueError if the seed is SAT.
     """
     seed = _check_indices(formula, seed)
-    solver = _SubsetSolver(formula, engine)
+    solver = SubsetSolver(formula, engine)
     if solver.query(seed)[0] is None:
         raise ValueError("seed subset is satisfiable; nothing to shrink")
     return MusRecord(frozenset(_shrink_in(solver, seed, None)))
 
 
-def _shrink_in(solver: _SubsetSolver, seed: set[int] | frozenset[int],
+def _shrink_in(solver: SubsetSolver, seed: set[int] | frozenset[int],
                deadline: float | None) -> set[int]:
     """Deletion shrink of an UNSAT seed with clause-set refinement and
     model rotation.
@@ -162,7 +162,7 @@ def _shrink_in(solver: _SubsetSolver, seed: set[int] | frozenset[int],
     return current
 
 
-def _rotate(solver: _SubsetSolver, c: int, model: set[int],
+def _rotate(solver: SubsetSolver, c: int, model: set[int],
             current: set[int], critical: set[int]) -> None:
     """Recursive model rotation (Belov & Marques-Silva, FMCAD 2011).
 
@@ -193,7 +193,7 @@ def _rotate(solver: _SubsetSolver, c: int, model: set[int],
                     stack.append((false_clause, flipped))
 
 
-def _grow_in(solver: _SubsetSolver, seed: set[int], model: set[int],
+def _grow_in(solver: SubsetSolver, seed: set[int], model: set[int],
              universe, deadline: float | None) -> set[int]:
     """Grow a satisfiable seed to a maximal satisfiable subset of the
     ascending clause indices ``universe``; ``model`` satisfies the seed.
@@ -224,13 +224,13 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     """MARCO-style online MUS enumeration under a wall-clock budget.
 
     Seeds come from a map solver with one variable per clause, true when
-    the clause is left out, so the solver's default false phase makes
-    seeds maximal. UNSAT seeds shrink to a MUS (supersets then blocked);
-    SAT seeds grow to a maximal satisfiable subset (subsets then
-    blocked). An UNSAT seed's shrink starts from the core of the seed's
-    own query, and a SAT seed's grow from its model. Stops when the map
-    empties or, returning the trace so far, when the budget runs out:
-    every query, the first full UNSAT check included, gets the deadline.
+    the clause is left out; with phase saving a SAT seed need not be
+    maximal. UNSAT seeds shrink to a MUS (supersets then blocked), from
+    the core of the seed's own query; SAT seeds grow from that query's
+    model to a maximal satisfiable subset of the clauses in play
+    (subsets then blocked). Stops when the map empties or, returning the
+    trace so far, when the budget runs out: every query, the first full
+    UNSAT check included, gets the deadline.
 
     ``first``, when given, is a set of clause indices (a pruner's kept
     set) to enumerate inside first: the map leaves every other clause
@@ -247,7 +247,7 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     universe = range(m) if first is None else sorted(
         _check_indices(formula, first))
     restricted = len(universe) < m
-    solver = _SubsetSolver(formula, engine)
+    solver = SubsetSolver(formula, engine)
     # The restricted map fixes every clause outside ``first`` left out by
     # a unit clause, so root simplification keeps its blocking clauses
     # short. Assumed instead, those literals would sit in every blocking

@@ -2,11 +2,12 @@
 
 The main routine binary-searches a discretized threshold grid over the
 model's per-clause prune scores for the most aggressive pruning that
-keeps the formula unsatisfiable, spending O(log k) SAT calls. The
-clause-length and variable-frequency strategies run the same search,
-``_grid_search``, on hand-crafted scores; random pruning is a chance
-baseline that may produce satisfiable output (recorded in the outcome).
-Every pruner builds its outcome in one place, ``_outcome``.
+keeps the formula unsatisfiable, spending O(log k) subset queries to one
+``SubsetSolver``. The clause-length and variable-frequency strategies
+run the same search, ``_grid_search``, on hand-crafted scores; random
+pruning is a chance baseline that may produce satisfiable output
+(recorded in the outcome). Every pruner builds its outcome in one
+place, ``_outcome``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnf import CnfFormula, prune_clauses
+from .mus import SubsetSolver
 from .sat import SatEngine
 
 
@@ -54,22 +56,24 @@ def _grid_search(formula: CnfFormula, scores: np.ndarray, levels,
 
     ``levels`` is ascending. Its last entry is an untested UNSAT sentinel
     that stands for the input itself (the input must be UNSAT): it is
-    never probed and its kept set is never built, because a computed top
-    level can round below max(scores) and drop a clause. Binary search,
-    at most ceil(log2(len(levels))) SAT calls, counted here.
+    never probed, because a computed top level can round below
+    max(scores) and drop a clause. Binary search, at most
+    ceil(log2(len(levels))) probes, counted here, each a query to one
+    subset solver over the formula; only the chosen kept set is built.
     """
-    lo, hi = 0, len(levels) - 1
-    kept, probes = formula, 0
+    solver = SubsetSolver(formula, engine)
+    lo, hi, probes = 0, len(levels) - 1, 0
     while lo < hi:
         mid = (lo + hi) // 2
-        pruned, index_map = prune_clauses(formula, scores <= levels[mid])
         probes += 1
-        if engine.is_satisfiable(pruned):
+        if solver.query(np.flatnonzero(scores <= levels[mid]))[0] is None:
             lo = mid + 1
         else:
-            kept = (pruned, index_map)
             hi = mid
-    return _outcome(formula, method, probes, kept, True)
+    if hi == len(levels) - 1:
+        return _outcome(formula, method, probes, formula, True)
+    return _outcome(formula, method, probes,
+                    prune_clauses(formula, scores <= levels[hi]), True)
 
 
 def _threshold_levels(scores: np.ndarray, k: int) -> list[float]:
@@ -126,14 +130,10 @@ def variable_frequency_scores(formula: CnfFormula) -> np.ndarray:
     for clause in formula.clauses:
         for lit in clause:
             freq[abs(lit)] += 1
-    raw = np.array([
-        -float(np.mean([freq[abs(l)] for l in clause])) if clause else np.nan
-        for clause in formula.clauses
-    ])
-    if np.isnan(raw).any():
-        floor = np.nanmin(raw) if not np.isnan(raw).all() else 0.0
-        raw = np.where(np.isnan(raw), floor, raw)
-    return raw
+    means = {j: -float(np.mean([freq[abs(l)] for l in clause]))
+             for j, clause in enumerate(formula.clauses) if clause}
+    floor = min(means.values(), default=0.0)
+    return np.array([means.get(j, floor) for j in range(formula.num_clauses)])
 
 
 def variable_frequency_prune(formula: CnfFormula, k: int,

@@ -498,11 +498,11 @@ class Solver:
 
 
 class SatEngine:
-    """Facade creating one fresh :class:`Solver` per query.
-
-    Tracks the number of solver invocations in ``calls`` so callers can
-    account for SAT usage. Safe to use from one thread; independent
-    engines may run concurrently.
+    """One question about one formula the caller builds: each ``solve``
+    runs a fresh :class:`Solver`; questions about subsets of one formula
+    go through ``mus.SubsetSolver``. ``calls`` counts solves, sessions'
+    included, so callers can account for SAT usage. Safe to use from one
+    thread; independent engines may run concurrently.
     """
 
     def __init__(self):

@@ -7,7 +7,7 @@ from musprune import mus
 from musprune.cnf import CnfFormula
 from musprune.generators import coloring_encoding, gen_sr_random
 from musprune.mus import (EnumerationTrace, MusRecord, _DeadlinePassed,
-                          _SubsetSolver, brute_force_muses, enumerate_marco,
+                          SubsetSolver, brute_force_muses, enumerate_marco,
                           is_mus, lift_muses, shrink, truth_table_satisfiable)
 from musprune.sat import SatEngine, Solver
 
@@ -58,7 +58,7 @@ def k8_seven_colouring():
 
 class TestUnsatCore:
     def test_sat_subset_has_none(self):
-        core, model = _SubsetSolver(F1).query({0, 2})
+        core, model = SubsetSolver(F1).query({0, 2})
         assert core is None
         assert 1 in model and {abs(lit) for lit in model} == {1, 2}
 
@@ -66,18 +66,18 @@ class TestUnsatCore:
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = random_unsat(rng)
-            core, model = _SubsetSolver(f).query(range(f.num_clauses))
+            core, model = SubsetSolver(f).query(range(f.num_clauses))
             assert model is None
             assert core <= set(range(f.num_clauses))
             assert not truth_table_satisfiable(f.induced(sorted(core)))
 
     def test_core_leaves_out_unused_clauses(self):
         f = CnfFormula(3, [[1], [-1], [2, 3], [-3]])
-        assert _SubsetSolver(f).query(range(4)) == ({0, 1}, None)
+        assert SubsetSolver(f).query(range(4)) == ({0, 1}, None)
 
     def test_passed_deadline_raises(self):
         with pytest.raises(_DeadlinePassed):
-            _SubsetSolver(F1).query({0, 1}, time.perf_counter())
+            SubsetSolver(F1).query({0, 1}, time.perf_counter())
 
 
 class TestShrink:

@@ -5,8 +5,9 @@ the clauses it had before (reverse unit propagation: Goldberg & Novikov,
 DATE 2003; the check DRAT-trim makes), and the assumptions of every core
 must propagate to a conflict. The log is taken by wrapping
 ``Solver.add_clause``, ``Solver._analyze`` and ``Solver.solve`` for the
-solvers of MARCO runs, map and subset solvers both, and replayed by a
-small checker that shares no code with the engine.
+solvers of MARCO runs, map and subset solvers both, and for the subset
+solver of the threshold search, and replayed by a small checker that
+shares no code with the engine.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 
 from musprune.generators import gen_sr_random
 from musprune.mus import enumerate_marco
-from musprune.sat import UNSAT, Solver
+from musprune.pruning import variable_frequency_prune
+from musprune.sat import UNSAT, SatEngine, Solver
 
 
 class Propagator:
@@ -97,8 +99,8 @@ def replay(events) -> list[tuple]:
     return failed
 
 
-def logged_marco_runs(monkeypatch, formulas, budget, drop_literal=False):
-    """Per-solver event logs of MARCO runs on ``formulas``. With
+def logged_run(monkeypatch, run, drop_literal=False):
+    """``run()``'s result and the event log of each solver it used. With
     ``drop_literal`` the log holds each learned clause of two or more
     literals without its first literal, as a faulty engine would."""
     logs: dict[Solver, list[tuple]] = {}
@@ -129,10 +131,9 @@ def logged_marco_runs(monkeypatch, formulas, budget, drop_literal=False):
     monkeypatch.setattr(Solver, "add_clause", logged_add_clause)
     monkeypatch.setattr(Solver, "_analyze", logged_analyze)
     monkeypatch.setattr(Solver, "solve", logged_solve)
-    for f in formulas:
-        enumerate_marco(f, budget)
+    result = run()
     monkeypatch.undo()
-    return list(logs.values())
+    return result, list(logs.values())
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +149,8 @@ def held_out():
 
 class TestProofReplay:
     def test_learned_clauses_and_cores_are_rup(self, monkeypatch, held_out):
-        logs = logged_marco_runs(monkeypatch, held_out, 0.3)
+        _, logs = logged_run(
+            monkeypatch, lambda: [enumerate_marco(f, 0.3) for f in held_out])
         counts = {"learned": 0, "core": 0}
         for events in logs:
             assert replay(events) == []
@@ -160,7 +162,23 @@ class TestProofReplay:
         assert counts["learned"] > 500 and counts["core"] > 500, counts
 
     def test_check_catches_a_dropped_literal(self, monkeypatch, held_out):
-        logs = logged_marco_runs(monkeypatch, held_out[:2], 0.1,
-                                 drop_literal=True)
+        _, logs = logged_run(
+            monkeypatch,
+            lambda: [enumerate_marco(f, 0.1) for f in held_out[:2]],
+            drop_literal=True)
         failed = [e for events in logs for e in replay(events)]
         assert any(kind == "learned" for kind, _ in failed)
+
+    def test_threshold_search_is_rup(self, monkeypatch, held_out):
+        # One solver per search; its learned clauses carry across probes.
+        cut = 0
+        for f in held_out:
+            out, logs = logged_run(
+                monkeypatch,
+                lambda: variable_frequency_prune(f, 10, SatEngine()))
+            assert len(logs) == 1
+            assert replay(logs[0]) == []
+            if out.kept_fraction < 1:
+                cut += 1
+                assert any(kind == "core" for kind, _ in logs[0])
+        assert cut >= 3, cut

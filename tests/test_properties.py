@@ -19,7 +19,7 @@ from musprune.cnf import (CnfFormula, DimacsFormatError, parse_dimacs,
 from musprune.lcg import build_lcg, make_input_features
 from musprune.model import ModelConfig, forward, init_params
 from musprune.mus import (BRUTE_FORCE_CLAUSE_LIMIT, _grow_in, _rotate,
-                          _SubsetSolver, brute_force_muses, enumerate_marco,
+                          SubsetSolver, brute_force_muses, enumerate_marco,
                           is_mus, lift_muses, shrink, truth_table_satisfiable)
 from musprune.pruning import (clause_length_prune, threshold_prune,
                               variable_frequency_prune)
@@ -367,7 +367,7 @@ class TestNonDecisionSelectors:
             max_size=8))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Solver, "_decide", recording_decide(picks))
-            solver = _SubsetSolver(f)
+            solver = SubsetSolver(f)
             for subset in subsets:
                 solver.query(subset)
         assert all(v <= f.num_vars for v in picks)
@@ -383,7 +383,7 @@ class TestNonDecisionSelectors:
         def clauses(indices):
             return CnfFormula(f.num_vars, [f.clauses[j] for j in indices])
 
-        solver = _SubsetSolver(f)
+        solver = SubsetSolver(f)
         subsets = data.draw(st.lists(
             st.sets(st.integers(0, f.num_clauses - 1)), min_size=1,
             max_size=10))
@@ -544,7 +544,7 @@ class TestModelUse:
         current = unsat_subset(f, data)
         critical = {c for c in current
                     if truth_table_satisfiable(f.induced(current - {c}))}
-        solver = _SubsetSolver(f)
+        solver = SubsetSolver(f)
         for c in sorted(critical):
             rest = [f.clauses[d] for d in current - {c}]
             for model in assignments(f.num_vars):
@@ -568,7 +568,7 @@ class TestModelUse:
                      if not model.isdisjoint(f.clauses[c])]
         seed = data.draw(st.sets(st.sampled_from(satisfied))
                          if satisfied else st.just(set()))
-        grown = _grow_in(_SubsetSolver(f), seed, model, universe, None)
+        grown = _grow_in(SubsetSolver(f), seed, model, universe, None)
         assert seed <= grown <= set(universe)
         assert truth_table_satisfiable(f.induced(grown))
         for c in set(universe) - grown:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from musprune.cnf import CnfFormula
-from musprune.generators import gen_sr_random
+from musprune import pruning
+from musprune.cnf import CnfFormula, prune_clauses
+from musprune.generators import gen_graph_coloring, gen_sr_random
 from musprune.mus import truth_table_satisfiable
 from musprune.pruning import (clause_length_prune, none_prune, random_prune,
                               threshold_prune, variable_frequency_prune,
@@ -195,3 +196,81 @@ def test_empty_formula_returned_as_is(prune):
     assert out.index_map == []
     assert out.kept_fraction == 1.0
     assert out.sat_calls == engine.calls == 0
+
+
+def reference_grid_search(formula, scores, levels, engine, method):
+    """The threshold search with one formula and one solver per probe:
+    the same binary search over the same levels, asked through
+    ``prune_clauses`` and ``SatEngine.is_satisfiable``."""
+    lo, hi = 0, len(levels) - 1
+    kept, probes = formula, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        pruned, index_map = prune_clauses(formula, scores <= levels[mid])
+        probes += 1
+        if engine.is_satisfiable(pruned):
+            lo = mid + 1
+        else:
+            kept = (pruned, index_map)
+            hi = mid
+    return pruning._outcome(formula, method, probes, kept, True)
+
+
+PRUNERS = {
+    "threshold": lambda f, engine: threshold_prune(
+        f, np.random.default_rng(f.num_clauses).random(f.num_clauses), 10,
+        engine),
+    "var_freq": lambda f, engine: variable_frequency_prune(f, 10, engine),
+    "clause_length": lambda f, engine: clause_length_prune(f, 4, engine),
+}
+
+
+@pytest.fixture(scope="module")
+def differential_set():
+    """200 small SR formulas and 200 small UNSAT colourings."""
+    return ([gen_sr_random(6 + i % 7, seed=(18, i)) for i in range(200)]
+            + [gen_graph_coloring((5, 8), 0.5, (2, 3), seed=(18, i))
+               for i in range(200)])
+
+
+@pytest.mark.parametrize("name", sorted(PRUNERS))
+def test_subset_solver_search_matches_reference(name, differential_set,
+                                                monkeypatch):
+    prune = PRUNERS[name]
+    found = []
+    for f in differential_set:
+        engine = SatEngine()
+        out = prune(f, engine)
+        assert engine.calls == out.sat_calls
+        found.append(out)
+    monkeypatch.setattr(pruning, "_grid_search", reference_grid_search)
+    pruned = 0
+    for f, out in zip(differential_set, found):
+        assert out == prune(f, SatEngine())  # every PruneOutcome field
+        pruned += out.kept_fraction < 1
+    assert pruned >= 50, pruned  # the cuts are exercised, not only fallbacks
+
+
+@pytest.mark.parametrize("name", sorted(PRUNERS))
+def test_search_builds_one_formula_and_no_oneshot_solver(name, monkeypatch):
+    counts = {"prune_clauses": 0, "solve": 0}
+    build, solve = pruning.prune_clauses, SatEngine.solve
+
+    def counted_build(formula, mask):
+        counts["prune_clauses"] += 1
+        return build(formula, mask)
+
+    def counted_solve(self, formula, assumptions=()):
+        counts["solve"] += 1
+        return solve(self, formula, assumptions)
+
+    monkeypatch.setattr(pruning, "prune_clauses", counted_build)
+    monkeypatch.setattr(SatEngine, "solve", counted_solve)
+    probes = 0
+    for i in range(10):
+        f = gen_sr_random(10, seed=(19, i))
+        counts["prune_clauses"] = 0
+        probes += PRUNERS[name](f, SatEngine()).sat_calls
+        assert counts["prune_clauses"] <= 1
+    assert counts["solve"] == 0
+    assert probes >= 20
