@@ -6,12 +6,16 @@ Everything runs in float64. The per-layer update is
 
     h_v' = relu(W_self[type(v)] h_v + sum_r sum_{u in N_r(v)} W_r h_u + b[type(v)])
 
-with relations r in {literal->clause, clause->literal, negation} (the
-negation relation is symmetric). The two-layer head maps clause-node
-representations through a relu hidden layer to a single logit; the
-sigmoid of the logit is the PRUNE probability of the clause, so a clause
-is kept with probability 1 - mu. The final bias starts at -3, i.e. a
-fresh model prunes around 5% of clauses (conservative start).
+with relations r in {literal->clause, clause->literal, negation}, each a
+sparse 0/1 block A from its source rows to its target rows: the
+clause-by-literal incidence, its transpose, and the permutation pairing
+each literal with its negation. A layer adds A h[source] W_r^T to the
+target rows; the backward pass carries their cotangent back through A^T.
+The two-layer head maps clause-node representations through a relu
+hidden layer to a single logit; the sigmoid of the logit is the PRUNE
+probability of the clause, so a clause is kept with probability 1 - mu.
+The final bias starts at -3, i.e. a fresh model prunes around 5% of
+clauses (conservative start).
 """
 
 from __future__ import annotations
@@ -65,10 +69,6 @@ class ModelParams:
 
 
 _RELATIONS = ("lit_to_clause", "clause_to_lit", "negation")
-# The transpose of each relation's adjacency is its adjoint's adjacency:
-# clause->literal reverses literal->clause, and negation is symmetric.
-_ADJOINT = {"lit_to_clause": "clause_to_lit", "clause_to_lit": "lit_to_clause",
-            "negation": "negation"}
 
 
 def _layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
@@ -105,19 +105,20 @@ def init_params(config: ModelConfig, seed) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def _adjacency(graph: LiteralClauseGraph):
-    """Per-relation sparse |V|x|V| adjacencies A with A[target, source] = 1."""
-    v = graph.num_nodes
-    me = graph.membership_edges
-    ne = graph.negation_edges
-    ones_m = np.ones(len(me))
-    a_l2c = sp.csr_matrix((ones_m, (me[:, 1], me[:, 0])), shape=(v, v))
-    a_c2l = sp.csr_matrix((ones_m, (me[:, 0], me[:, 1])), shape=(v, v))
-    both = np.concatenate([ne, ne[:, ::-1]]) if len(ne) else ne.reshape(0, 2)
-    a_neg = sp.csr_matrix(
-        (np.ones(len(both)), (both[:, 0], both[:, 1])), shape=(v, v)
-    )
-    return {"lit_to_clause": a_l2c, "clause_to_lit": a_c2l, "negation": a_neg}
+def _relations(graph: LiteralClauseGraph):
+    """(name, target rows, source rows, A) per relation: A is the sparse
+    0/1 target-by-source block, and A.T carries cotangents back."""
+    n_lit = graph.num_literal_nodes
+    lit, cls = slice(0, n_lit), slice(n_lit, graph.num_nodes)
+    me, ne = graph.membership_edges, graph.negation_edges
+    incidence = sp.csr_matrix((np.ones(len(me)), (me[:, 1] - n_lit, me[:, 0])),
+                              shape=(graph.num_clauses, n_lit))
+    both = np.concatenate([ne, ne[:, ::-1]])
+    negation = sp.csr_matrix((np.ones(len(both)), (both[:, 0], both[:, 1])),
+                             shape=(n_lit, n_lit))
+    return [("lit_to_clause", cls, lit, incidence),
+            ("clause_to_lit", lit, cls, incidence.T),
+            ("negation", lit, lit, negation)]
 
 
 def _sigmoid(x):
@@ -138,19 +139,18 @@ def _forward_cached(params: ModelParams, graph: LiteralClauseGraph, features):
             f"feature matrix shape {h.shape} does not match "
             f"({graph.num_nodes}, {cfg.input_dim})"
         )
-    adj = _adjacency(graph)
+    relations = _relations(graph)
     lit = slice(0, graph.num_literal_nodes)
     cls = slice(graph.num_literal_nodes, graph.num_nodes)
     inputs = []
     pres = []
     for l in range(cfg.num_layers):
         inputs.append(h)
-        d_out = t[f"gnn{l}.self_lit"].shape[0]
-        pre = np.empty((graph.num_nodes, d_out))
+        pre = np.empty((graph.num_nodes, cfg.hidden_dim))
         pre[lit] = h[lit] @ t[f"gnn{l}.self_lit"].T + t[f"gnn{l}.bias_lit"]
         pre[cls] = h[cls] @ t[f"gnn{l}.self_cls"].T + t[f"gnn{l}.bias_cls"]
-        for rel in _RELATIONS:
-            pre += adj[rel] @ (h @ t[f"gnn{l}.{rel}"].T)
+        for rel, target, source, a in relations:
+            pre[target] += a @ (h[source] @ t[f"gnn{l}.{rel}"].T)
         pres.append(pre)
         h = np.maximum(pre, 0.0)
     z_cls = h[cls]
@@ -159,8 +159,8 @@ def _forward_cached(params: ModelParams, graph: LiteralClauseGraph, features):
     logits = h1 @ t["head.w2"] + t["head.b2"]
     mu = _sigmoid(logits)
     cache = {
-        "adj": adj, "lit": lit, "cls": cls, "inputs": inputs, "pres": pres,
-        "z_cls": z_cls, "pre1": pre1, "h1": h1, "mu": mu,
+        "relations": relations, "lit": lit, "cls": cls, "inputs": inputs,
+        "pres": pres, "z_cls": z_cls, "pre1": pre1, "h1": h1, "mu": mu,
     }
     return mu, cache
 
@@ -223,9 +223,8 @@ def _backward_from_logits(params: ModelParams, cache, d_logits):
     grads["head.w1"] = d_pre1.T @ z_cls
     d_zcls = d_pre1 @ t["head.w1"]
 
-    lit, cls, adj = cache["lit"], cache["cls"], cache["adj"]
-    num_nodes = cache["inputs"][0].shape[0]
-    d_h = np.zeros((num_nodes, cfg.hidden_dim))
+    lit, cls = cache["lit"], cache["cls"]
+    d_h = np.zeros((len(cache["inputs"][0]), cfg.hidden_dim))
     d_h[cls] = d_zcls
     for l in reversed(range(cfg.num_layers)):
         h_in = cache["inputs"][l]
@@ -237,10 +236,10 @@ def _backward_from_logits(params: ModelParams, cache, d_logits):
         d_h_next = np.zeros_like(h_in)
         d_h_next[lit] = d_pre[lit] @ t[f"gnn{l}.self_lit"]
         d_h_next[cls] = d_pre[cls] @ t[f"gnn{l}.self_cls"]
-        for rel in _RELATIONS:
-            back = adj[_ADJOINT[rel]] @ d_pre
-            grads[f"gnn{l}.{rel}"] = back.T @ h_in
-            d_h_next += back @ t[f"gnn{l}.{rel}"]
+        for rel, target, source, a in cache["relations"]:
+            back = a.T @ d_pre[target]
+            grads[f"gnn{l}.{rel}"] = back.T @ h_in[source]
+            d_h_next[source] += back @ t[f"gnn{l}.{rel}"]
         d_h = d_h_next
     return grads
 
@@ -304,7 +303,12 @@ def load_checkpoint(path) -> ModelParams:
             k[len("tensor/"):]: data[k]
             for k in data.files if k.startswith("tensor/")
         }
-    expected = set(init_params(config, 0).tensors)
-    if set(tensors) != expected:
+    expected = init_params(config, 0).tensors
+    if set(tensors) != set(expected):
         raise ValueError("checkpoint tensors do not match the configuration")
+    for name, ref in expected.items():
+        got = tensors[name]
+        if (got.shape, got.dtype) != (ref.shape, ref.dtype):
+            raise ValueError(f"{path}: tensor {name} is {got.dtype} "
+                             f"{got.shape}, not {ref.dtype} {ref.shape}")
     return ModelParams(config, tensors)

@@ -91,7 +91,7 @@ def threshold_prune(formula: CnfFormula, scores, k: int,
     spaced thresholds from max(scores)/k to max(scores) and returns the
     most aggressive UNSAT-preserving cut, or the original formula when
     no candidate below max(scores) stays UNSAT. Uses at most
-    ceil(log2(k+1)) + 1 SAT calls.
+    ceil(log2(k+1)) SAT calls.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

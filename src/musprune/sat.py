@@ -420,11 +420,6 @@ class Solver:
             self._backtrack(0)
         if not self.ok:
             return SatResult(UNSAT, None, self.stats)
-        # Above the root, the main loop's propagation finds any conflict,
-        # and one there is not root UNSAT.
-        if not self._trail_lim and self._propagate() is not None:
-            self.ok = False
-            return SatResult(UNSAT, None, self.stats)
 
         restarts = 0
         limit = _LUBY_UNIT * _luby(0)

@@ -8,7 +8,7 @@ from musprune import bench, cli
 from musprune.cli import build_parser, main
 from musprune.cnf import CnfFormula, parse_dimacs, write_dimacs
 from musprune.generators import gen_sr_random
-from musprune.model import ModelConfig
+from musprune.model import ModelConfig, init_params, save_checkpoint
 from musprune.mus import brute_force_muses, truth_table_satisfiable
 from musprune.pruning import random_prune, variable_frequency_prune
 from musprune.sat import SatEngine
@@ -175,6 +175,19 @@ class TestPrune:
                      "--out", str(tmp_path / "out.cnf")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "__meta__" in err
+
+    def test_checkpoint_with_misshapen_tensor_is_an_error(
+            self, tmp_path, f1_file, capsys):
+        params = init_params(ModelConfig(), 0)
+        params.tensors["head.b1"] = np.zeros(1)
+        ckpt = tmp_path / "bad.npz"
+        save_checkpoint(ckpt, params)
+        out = tmp_path / "out.cnf"
+        assert main(["prune", "--input", f1_file, "--pruner", f"model:{ckpt}",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "head.b1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda meta: meta["config"].update(dropout=0.5), "dropout"),

@@ -4,9 +4,9 @@ import pytest
 from musprune.cnf import CnfFormula
 from musprune.generators import gen_sr_random
 from musprune.lcg import build_lcg, make_input_features
-from musprune.model import (ModelConfig, grad_log_prob, forward, init_params,
-                            load_checkpoint, log_prob, sample_mask,
-                            save_checkpoint, score_clauses,
+from musprune.model import (LOG_EPS, ModelConfig, grad_log_prob, forward,
+                            init_params, load_checkpoint, log_prob,
+                            sample_mask, save_checkpoint, score_clauses,
                             score_with_pullback)
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8, random_feature_dim=4,
@@ -267,6 +267,112 @@ class TestGradients:
         assert "gnn0.clause_to_lit" in nonzero
 
 
+RELATIONS = ("lit_to_clause", "clause_to_lit", "negation")
+# Negation's backward message reaches a weight only three layers down.
+THREE_LAYERS = ModelConfig(num_layers=3, hidden_dim=8, random_feature_dim=4,
+                           mlp_hidden_dim=8)
+ONE_LAYER = ModelConfig(num_layers=1, hidden_dim=8, random_feature_dim=0,
+                        mlp_hidden_dim=8)
+
+
+def dense_reference(params, graph, x, keep, signal):
+    """mu and the pullback's gradients from dense |V|x|V| adjacencies,
+    A[target, source] counting edges, and A.T as the backward pass."""
+    t, cfg = params.tensors, params.config
+    v = graph.num_nodes
+    adj = {rel: np.zeros((v, v)) for rel in RELATIONS}
+    me, ne = graph.membership_edges, graph.negation_edges
+    np.add.at(adj["lit_to_clause"], (me[:, 1], me[:, 0]), 1.0)
+    np.add.at(adj["clause_to_lit"], (me[:, 0], me[:, 1]), 1.0)
+    np.add.at(adj["negation"], (ne[:, 0], ne[:, 1]), 1.0)
+    np.add.at(adj["negation"], (ne[:, 1], ne[:, 0]), 1.0)
+    is_lit = (np.arange(v) < graph.num_literal_nodes)[:, None]
+    h, inputs, pres = x, [], []
+    for l in range(cfg.num_layers):
+        inputs.append(h)
+        pre = np.where(is_lit, h @ t[f"gnn{l}.self_lit"].T + t[f"gnn{l}.bias_lit"],
+                       h @ t[f"gnn{l}.self_cls"].T + t[f"gnn{l}.bias_cls"])
+        for rel in RELATIONS:
+            pre = pre + adj[rel] @ h @ t[f"gnn{l}.{rel}"].T
+        pres.append(pre)
+        h = np.maximum(pre, 0.0)
+    z = h[~is_lit[:, 0]]
+    pre1 = z @ t["head.w1"].T + t["head.b1"]
+    h1 = np.maximum(pre1, 0.0)
+    mu = 1.0 / (1.0 + np.exp(-(h1 @ t["head.w2"] + t["head.b2"])))
+    active = (mu > LOG_EPS) & (mu < 1.0 - LOG_EPS)
+    d_logits = np.where(active, ~keep - mu, 0.0) * signal
+    grads = {"head.b2": np.array(d_logits.sum()), "head.w2": d_logits @ h1}
+    d_pre1 = np.outer(d_logits, t["head.w2"]) * (pre1 > 0)
+    grads["head.b1"] = d_pre1.sum(axis=0)
+    grads["head.w1"] = d_pre1.T @ z
+    d_h = np.zeros((v, cfg.hidden_dim))
+    d_h[~is_lit[:, 0]] = d_pre1 @ t["head.w1"]
+    for l in reversed(range(cfg.num_layers)):
+        d_pre = d_h * (pres[l] > 0)
+        d_h = np.zeros_like(inputs[l])
+        for kind, rows in (("lit", is_lit), ("cls", ~is_lit)):
+            d_type = d_pre * rows
+            grads[f"gnn{l}.self_{kind}"] = d_type.T @ inputs[l]
+            grads[f"gnn{l}.bias_{kind}"] = d_type.sum(axis=0)
+            d_h += d_type @ t[f"gnn{l}.self_{kind}"]
+        for rel in RELATIONS:
+            back = adj[rel].T @ d_pre
+            grads[f"gnn{l}.{rel}"] = back.T @ inputs[l]
+            d_h += back @ t[f"gnn{l}.{rel}"]
+    return mu, grads
+
+
+def reference_formulas():
+    edge = [CnfFormula(0, [[]]), CnfFormula(0, []), CnfFormula(2, [[], [1, 2]]),
+            CnfFormula(3, [[1], [-1]]),  # variables 2 and 3 occur nowhere
+            CnfFormula(2, [[1, 1, -2], [-1], [2]]), CnfFormula(4, [])]
+    return edge + [gen_sr_random(n, seed=(n, r))
+                   for n in range(3, 25) for r in range(2)]
+
+
+class TestRelationBlocks:
+    @pytest.mark.parametrize("config", [THREE_LAYERS, ONE_LAYER],
+                             ids=["three_layers", "one_layer_no_random"])
+    def test_matches_dense_reference(self, config):
+        params = init_params(config, 4)
+        formulas = reference_formulas()
+        assert len(formulas) == 50
+        for i, f in enumerate(formulas):
+            g = build_lcg(f)
+            x = make_input_features(g, config.random_feature_dim, i)
+            keep = np.random.default_rng(i).random(f.num_clauses) < 0.6
+            mu, pullback = score_with_pullback(params, f, i)
+            grads = pullback(keep, 0.7)
+            ref_mu, ref_grads = dense_reference(params, g, x, keep, 0.7)
+            np.testing.assert_allclose(mu, ref_mu, rtol=1e-12, atol=1e-12)
+            assert set(grads) == set(ref_grads) == set(params.tensors)
+            for k in grads:
+                assert grads[k].shape == params.tensors[k].shape
+                np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
+                                           atol=1e-12, err_msg=f"{i} {k}")
+
+    def test_no_node_by_node_matrix(self, monkeypatch):
+        from musprune import model
+        built = []
+        csr_matrix = model.sp.csr_matrix
+
+        def recording(*args, **kwargs):
+            m = csr_matrix(*args, **kwargs)
+            built.append(m.shape)
+            return m
+
+        monkeypatch.setattr(model.sp, "csr_matrix", recording)
+        params = init_params(SMALL, 1)
+        for f in [CnfFormula(0, [[]]), CnfFormula(3, [[1], [-1]]),
+                  gen_sr_random(12, seed=3)]:
+            built.clear()
+            mu, pullback = score_with_pullback(params, f, 0)
+            pullback(np.ones(f.num_clauses, dtype=bool), 1.0)
+            num_nodes = 2 * f.num_vars + f.num_clauses
+            assert built and (num_nodes, num_nodes) not in built
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         p = init_params(SMALL, 9)
@@ -285,4 +391,18 @@ class TestCheckpoint:
         _np.savez(path, __meta__=_np.frombuffer(
             json.dumps(meta).encode(), dtype=_np.uint8))
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("head.b1", np.zeros(1)),
+        ("gnn0.bias_lit", np.zeros(1)),
+        ("gnn1.negation", np.zeros((8, 8), dtype=np.float32)),
+        ("head.b2", np.zeros(1)),
+    ], ids=["short_head_bias", "short_layer_bias", "float32", "vector_scalar"])
+    def test_tensor_shape_and_dtype_checked(self, tmp_path, name, bad):
+        p = init_params(SMALL, 0)
+        p.tensors[name] = bad
+        path = tmp_path / "bad.npz"
+        save_checkpoint(path, p)
+        with pytest.raises(ValueError, match=f"tensor {name} "):
             load_checkpoint(path)

@@ -51,6 +51,18 @@ class TestSolveBasics:
     def test_tautology_dropped(self):
         assert SatEngine().is_satisfiable(CnfFormula(1, [[1, -1], [-1]]))
 
+    @pytest.mark.parametrize("assumptions", [(), (4,), (-4, 5)])
+    def test_root_propagation_refutes(self, assumptions):
+        # The units leave 2 v 3 with both literals false: one conflict at
+        # the root, whatever is assumed, and no core.
+        solver = Solver(num_vars=5)
+        for clause in ([1], [-1, 2, 3], [-2], [-3]):
+            solver.add_clause(clause)
+        r = solver.solve(assumptions)
+        assert (r.status, r.core, solver.ok) == (UNSAT, None, False)
+        assert r.stats.conflicts == 1
+        assert solver.solve().status == UNSAT
+
 
 class TestAgainstTruthTables:
     def test_agreement_small(self):
