@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -48,18 +49,18 @@ def literal_node(lit: int, num_vars: int) -> int:
 
 def build_lcg(formula: CnfFormula) -> LiteralClauseGraph:
     """Build the literal-clause graph; clause node j maps to clause index j."""
-    n = formula.num_vars
-    membership = []
-    for j, clause in enumerate(formula.clauses):
-        cnode = 2 * n + j
-        for lit in clause:
-            membership.append((literal_node(lit, n), cnode))
-    negation = [(i, n + i) for i in range(n)]
+    n, m = formula.num_vars, formula.num_clauses
+    lengths = np.fromiter(map(len, formula.clauses), dtype=np.int64, count=m)
+    lits = np.fromiter(chain.from_iterable(formula.clauses), dtype=np.int64,
+                       count=int(lengths.sum()))
+    literal_nodes = np.where(lits > 0, lits - 1, n - lits - 1)
+    clause_nodes = np.repeat(np.arange(2 * n, 2 * n + m, dtype=np.int64), lengths)
+    positives = np.arange(n, dtype=np.int64)
     return LiteralClauseGraph(
         num_vars=n,
-        num_clauses=formula.num_clauses,
-        membership_edges=np.array(membership, dtype=np.int64).reshape(-1, 2),
-        negation_edges=np.array(negation, dtype=np.int64).reshape(-1, 2),
+        num_clauses=m,
+        membership_edges=np.column_stack([literal_nodes, clause_nodes]),
+        negation_edges=np.column_stack([positives, positives + n]),
     )
 
 

@@ -6,11 +6,22 @@ Everything runs in float64. The per-layer update is
 
     h_v' = relu(W_self[type(v)] h_v + sum_r sum_{u in N_r(v)} W_r h_u + b[type(v)])
 
-with relations r in {literal->clause, clause->literal, negation}, each a
-sparse 0/1 block A from its source rows to its target rows: the
-clause-by-literal incidence, its transpose, and the permutation pairing
-each literal with its negation. A layer adds A h[source] W_r^T to the
-target rows; the backward pass carries their cotangent back through A^T.
+with relations r in {literal->clause, clause->literal, negation}. With A
+the clause-by-literal incidence (built once per graph, as is its
+transpose) and neg the permutation pairing each literal row with its
+negation's, a layer computes one weight product per node type:
+
+    clause rows:  h_cls W_self_cls^T + A (h_lit W_lit_to_clause^T) + b_cls
+    literal rows: [h_lit | A^T h_cls | h_lit[neg]]
+                  [W_self_lit | W_clause_to_lit | W_negation]^T + b_lit
+
+Both relation products run over the literal rows, which clauses
+outnumber: literal->clause messages are multiplied and then summed into
+clauses, clause->literal messages summed and then multiplied. The head
+reads clause rows only, so the last layer computes no literal rows: its
+self_lit, bias_lit, clause_to_lit and negation tensors are kept in the
+checkpoint but never reach mu, and their gradient is 0. The backward
+pass runs the same products transposed and stops at layer 0's weights.
 The two-layer head maps clause-node representations through a relu
 hidden layer to a single logit; the sigmoid of the logit is the PRUNE
 probability of the clause, so a clause is kept with probability 1 - mu.
@@ -105,20 +116,26 @@ def init_params(config: ModelConfig, seed) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def _relations(graph: LiteralClauseGraph):
-    """(name, target rows, source rows, A) per relation: A is the sparse
-    0/1 target-by-source block, and A.T carries cotangents back."""
+def _csr(rows, cols, shape):
+    """The 0/1 CSR matrix with an entry at each (rows[e], cols[e]); a pair
+    listed twice is two entries, which products count as a 2."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((np.ones(len(rows)),
+                          cols[np.argsort(rows, kind="stable")], indptr),
+                         shape=shape)
+
+
+def _blocks(graph: LiteralClauseGraph):
+    """The clause-by-literal incidence and its transpose, both CSR, and
+    the negation permutation: literal row i's negation is row neg[i]."""
     n_lit = graph.num_literal_nodes
-    lit, cls = slice(0, n_lit), slice(n_lit, graph.num_nodes)
     me, ne = graph.membership_edges, graph.negation_edges
-    incidence = sp.csr_matrix((np.ones(len(me)), (me[:, 1] - n_lit, me[:, 0])),
-                              shape=(graph.num_clauses, n_lit))
-    both = np.concatenate([ne, ne[:, ::-1]])
-    negation = sp.csr_matrix((np.ones(len(both)), (both[:, 0], both[:, 1])),
-                             shape=(n_lit, n_lit))
-    return [("lit_to_clause", cls, lit, incidence),
-            ("clause_to_lit", lit, cls, incidence.T),
-            ("negation", lit, lit, negation)]
+    cls, lit = me[:, 1] - n_lit, me[:, 0]
+    neg = np.empty(n_lit, dtype=np.int64)
+    neg[ne[:, 0]], neg[ne[:, 1]] = ne[:, 1], ne[:, 0]
+    return (_csr(cls, lit, (graph.num_clauses, n_lit)),
+            _csr(lit, cls, (n_lit, graph.num_clauses)), neg)
 
 
 def _sigmoid(x):
@@ -139,27 +156,31 @@ def _forward_cached(params: ModelParams, graph: LiteralClauseGraph, features):
             f"feature matrix shape {h.shape} does not match "
             f"({graph.num_nodes}, {cfg.input_dim})"
         )
-    relations = _relations(graph)
-    lit = slice(0, graph.num_literal_nodes)
-    cls = slice(graph.num_literal_nodes, graph.num_nodes)
-    inputs = []
+    incidence, incidence_t, neg = _blocks(graph)
+    h_lit, h_cls = h[:graph.num_literal_nodes], h[graph.num_literal_nodes:]
+    layers = []
     pres = []
     for l in range(cfg.num_layers):
-        inputs.append(h)
-        pre = np.empty((graph.num_nodes, cfg.hidden_dim))
-        pre[lit] = h[lit] @ t[f"gnn{l}.self_lit"].T + t[f"gnn{l}.bias_lit"]
-        pre[cls] = h[cls] @ t[f"gnn{l}.self_cls"].T + t[f"gnn{l}.bias_cls"]
-        for rel, target, source, a in relations:
-            pre[target] += a @ (h[source] @ t[f"gnn{l}.{rel}"].T)
-        pres.append(pre)
-        h = np.maximum(pre, 0.0)
-    z_cls = h[cls]
+        pre_cls = (h_cls @ t[f"gnn{l}.self_cls"].T + t[f"gnn{l}.bias_cls"]
+                   + incidence @ (h_lit @ t[f"gnn{l}.lit_to_clause"].T))
+        if l == cfg.num_layers - 1:  # the head reads clause rows only
+            layers.append((h_lit, h_cls, None, None))
+            pres.append(pre_cls)
+            break
+        x_lit = np.concatenate([h_lit, incidence_t @ h_cls, h_lit[neg]], axis=1)
+        w_lit = np.concatenate([t[f"gnn{l}.self_lit"], t[f"gnn{l}.clause_to_lit"],
+                                t[f"gnn{l}.negation"]], axis=1)
+        pre_lit = x_lit @ w_lit.T + t[f"gnn{l}.bias_lit"]
+        layers.append((h_lit, h_cls, x_lit, w_lit))
+        pres += [pre_lit, pre_cls]
+        h_lit, h_cls = np.maximum(pre_lit, 0.0), np.maximum(pre_cls, 0.0)
+    z_cls = np.maximum(pre_cls, 0.0)
     pre1 = z_cls @ t["head.w1"].T + t["head.b1"]
     h1 = np.maximum(pre1, 0.0)
     logits = h1 @ t["head.w2"] + t["head.b2"]
     mu = _sigmoid(logits)
     cache = {
-        "relations": relations, "lit": lit, "cls": cls, "inputs": inputs,
+        "blocks": (incidence, incidence_t, neg), "layers": layers,
         "pres": pres, "z_cls": z_cls, "pre1": pre1, "h1": h1, "mu": mu,
     }
     return mu, cache
@@ -211,9 +232,8 @@ def log_prob(scores, mask) -> float:
 
 def _backward_from_logits(params: ModelParams, cache, d_logits):
     """Reverse-mode pass from a cotangent on the clause logits."""
-    cfg = params.config
     t = params.tensors
-    grads = {k: np.zeros_like(v) for k, v in t.items()}
+    grads = {}
     h1, pre1, z_cls = cache["h1"], cache["pre1"], cache["z_cls"]
     grads["head.b2"] = np.array(float(d_logits.sum()))
     grads["head.w2"] = d_logits @ h1
@@ -221,27 +241,40 @@ def _backward_from_logits(params: ModelParams, cache, d_logits):
     d_pre1 = d_h1 * (pre1 > 0)
     grads["head.b1"] = d_pre1.sum(axis=0)
     grads["head.w1"] = d_pre1.T @ z_cls
-    d_zcls = d_pre1 @ t["head.w1"]
+    d_cls = d_pre1 @ t["head.w1"]
 
-    lit, cls = cache["lit"], cache["cls"]
-    d_h = np.zeros((len(cache["inputs"][0]), cfg.hidden_dim))
-    d_h[cls] = d_zcls
-    for l in reversed(range(cfg.num_layers)):
-        h_in = cache["inputs"][l]
-        d_pre = d_h * (cache["pres"][l] > 0)
-        grads[f"gnn{l}.self_lit"] = d_pre[lit].T @ h_in[lit]
-        grads[f"gnn{l}.self_cls"] = d_pre[cls].T @ h_in[cls]
-        grads[f"gnn{l}.bias_lit"] = d_pre[lit].sum(axis=0)
-        grads[f"gnn{l}.bias_cls"] = d_pre[cls].sum(axis=0)
-        d_h_next = np.zeros_like(h_in)
-        d_h_next[lit] = d_pre[lit] @ t[f"gnn{l}.self_lit"]
-        d_h_next[cls] = d_pre[cls] @ t[f"gnn{l}.self_cls"]
-        for rel, target, source, a in cache["relations"]:
-            back = a.T @ d_pre[target]
-            grads[f"gnn{l}.{rel}"] = back.T @ h_in[source]
-            d_h_next[source] += back @ t[f"gnn{l}.{rel}"]
-        d_h = d_h_next
-    return grads
+    incidence, incidence_t, neg = cache["blocks"]
+    pres = list(cache["pres"])
+    for l in reversed(range(len(cache["layers"]))):
+        h_lit, h_cls, x_lit, w_lit = cache["layers"][l]
+        d_pre_cls = d_cls * (pres.pop() > 0)
+        grads[f"gnn{l}.self_cls"] = d_pre_cls.T @ h_cls
+        grads[f"gnn{l}.bias_cls"] = d_pre_cls.sum(axis=0)
+        back = incidence_t @ d_pre_cls
+        grads[f"gnn{l}.lit_to_clause"] = back.T @ h_lit
+        if x_lit is not None:  # the last layer has no literal rows
+            d_pre_lit = d_lit * (pres.pop() > 0)
+            (grads[f"gnn{l}.self_lit"], grads[f"gnn{l}.clause_to_lit"],
+             grads[f"gnn{l}.negation"]) = _thirds(d_pre_lit.T @ x_lit)
+            grads[f"gnn{l}.bias_lit"] = d_pre_lit.sum(axis=0)
+        if l == 0:  # nothing reads the features' cotangent
+            break
+        d_lit = back @ t[f"gnn{l}.lit_to_clause"]
+        d_cls = d_pre_cls @ t[f"gnn{l}.self_cls"]
+        if x_lit is not None:
+            d_x = _thirds(d_pre_lit @ w_lit)
+            # neg is an involution, so it also scatters the negation rows back
+            d_lit += d_x[0] + d_x[2][neg]
+            d_cls += incidence @ d_x[1]
+    # The last layer's literal weights never reach mu: their gradient is 0.
+    return {k: grads[k] if k in grads else np.zeros_like(v)
+            for k, v in t.items()}
+
+
+def _thirds(a):
+    """The three equal column blocks of ``a``, as views."""
+    d = a.shape[1] // 3
+    return a[:, :d], a[:, d:2 * d], a[:, 2 * d:]
 
 
 def _forward_with_pullback(params: ModelParams, graph, features):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from musprune.cnf import CnfFormula
-from musprune.generators import gen_sr_random
+from musprune.generators import gen_graph_coloring, gen_sr_random
 from musprune.lcg import (build_lcg, literal_node, make_input_features,
                           recover_formula)
 
@@ -47,6 +47,43 @@ class TestBuildLcg:
         assert literal_node(3, 3) == 2
         assert literal_node(-1, 3) == 3
         assert literal_node(-3, 3) == 5
+
+
+def reference_edges(formula):
+    """build_lcg's edge arrays from one loop step per literal occurrence."""
+    n = formula.num_vars
+    membership = [(literal_node(lit, n), 2 * n + j)
+                  for j, clause in enumerate(formula.clauses) for lit in clause]
+    negation = [(i, n + i) for i in range(n)]
+    return (np.array(membership, dtype=np.int64).reshape(-1, 2),
+            np.array(negation, dtype=np.int64).reshape(-1, 2))
+
+
+class TestBuildLcgAgainstLoop:
+    @pytest.mark.parametrize("formula", [
+        CnfFormula(0, []), CnfFormula(0, [[]]), CnfFormula(2, [[], [1, -2], []]),
+        CnfFormula(4, [[1], [-1]]), CnfFormula(3, [[1, 1, -2], [-3, -3], [2]]),
+        CnfFormula(5, []), F1,
+    ], ids=["empty", "empty_clause_no_vars", "empty_clauses", "unused_vars",
+            "duplicate_literals", "no_clauses", "f1"])
+    def test_edge_cases(self, formula):
+        self.check(formula)
+
+    def test_generated(self):
+        for i in range(20):
+            self.check(gen_sr_random(5 + i, seed=i))
+            self.check(gen_graph_coloring((6, 9), 0.4, (3, 3), seed=i))
+
+    @staticmethod
+    def check(formula):
+        g = build_lcg(formula)
+        for got, ref in zip((g.membership_edges, g.negation_edges),
+                            reference_edges(formula)):
+            assert got.dtype == ref.dtype == np.int64
+            assert got.shape == ref.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == ref.tobytes()
+        assert recover_formula(g) == formula
 
 
 class TestRecoverFormula:

@@ -332,13 +332,18 @@ def reference_formulas():
 
 
 class TestRelationBlocks:
-    @pytest.mark.parametrize("config", [THREE_LAYERS, ONE_LAYER],
-                             ids=["three_layers", "one_layer_no_random"])
-    def test_matches_dense_reference(self, config):
+    # The default configuration runs on the six edge cases and every third
+    # SR formula; the small ones on all 50.
+    @pytest.mark.parametrize("config, sr_stride", [
+        (THREE_LAYERS, 1), (ONE_LAYER, 1), (ModelConfig(), 3)],
+        ids=["three_layers", "one_layer_no_random", "default"])
+    def test_matches_dense_reference(self, config, sr_stride):
         params = init_params(config, 4)
         formulas = reference_formulas()
         assert len(formulas) == 50
         for i, f in enumerate(formulas):
+            if i >= 6 and (i - 6) % sr_stride:
+                continue
             g = build_lcg(f)
             x = make_input_features(g, config.random_feature_dim, i)
             keep = np.random.default_rng(i).random(f.num_clauses) < 0.6
@@ -371,6 +376,67 @@ class TestRelationBlocks:
             pullback(np.ones(f.num_clauses, dtype=bool), 1.0)
             num_nodes = 2 * f.num_vars + f.num_clauses
             assert built and (num_nodes, num_nodes) not in built
+
+
+LAST_LAYER_LITERAL_TENSORS = ("gnn4.self_lit", "gnn4.bias_lit",
+                              "gnn4.clause_to_lit", "gnn4.negation")
+
+
+class TestDeadWork:
+    """The head reads clause rows only, so the last layer computes no
+    literal rows and its four literal tensors never reach mu."""
+
+    def test_last_layer_literal_tensors_get_zero_gradient(self):
+        from musprune.model import _forward_cached
+        params = init_params(ModelConfig(), 2)
+        f = gen_sr_random(20, seed=5)
+        g = build_lcg(f)
+        x = make_input_features(g, params.config.random_feature_dim, 1)
+        _, cache = _forward_cached(params, g, x)
+        assert cache["pres"][-1].shape == (f.num_clauses, 64)
+        assert len(cache["pres"]) == 2 * 5 - 1
+        keep = np.random.default_rng(0).random(f.num_clauses) < 0.5
+        grads = grad_log_prob(params, g, x, keep)
+        for k, grad in grads.items():
+            if k in LAST_LAYER_LITERAL_TENSORS:
+                assert not grad.any(), k
+            else:
+                assert grad.any(), k
+
+    def test_reinforce_step_leaves_them_unchanged(self):
+        from musprune.sat import SatEngine
+        from musprune.training import OptimizerState, TrainConfig, reinforce_step
+        params = init_params(ModelConfig(), 3)
+        batch = [gen_sr_random(12, seed=i) for i in range(3)]
+        new, _, _ = reinforce_step(
+            params, batch, SatEngine(), OptimizerState(), seed=0,
+            config=TrainConfig(batch_size=3, learning_rate=1e-2), step=0)
+        for k, before in params.tensors.items():
+            after = new.tensors[k]
+            if k in LAST_LAYER_LITERAL_TENSORS:
+                assert after.tobytes() == before.tobytes(), k
+            else:
+                assert not np.array_equal(after, before), k
+
+    def test_pullback_builds_no_sparse_matrix(self, monkeypatch):
+        # The blocks are built once per graph, by the forward pass; every
+        # scipy sparse container runs this constructor.
+        from scipy.sparse import _base
+        built = []
+        init = _base._spbase.__init__
+
+        def recording(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        params = init_params(ModelConfig(), 1)
+        for f in [CnfFormula(0, [[]]), CnfFormula(2, [[1, 1, -2], [-1], [2]]),
+                  gen_sr_random(15, seed=2)]:
+            mu, pullback = score_with_pullback(params, f, 0)
+            monkeypatch.setattr(_base._spbase, "__init__", recording)
+            pullback(np.random.default_rng(1).random(len(mu)) < 0.5, 1.0)
+            monkeypatch.undo()
+            assert built == []
 
 
 class TestCheckpoint:
