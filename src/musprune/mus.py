@@ -16,6 +16,12 @@ assumption core, or a SAT answer's model. MARCO uses both:
   that clause alone. Recursive model rotation flips the model's
   variables one at a time to find more critical clauses, which are then
   never queried (Belov & Marques-Silva, FMCAD 2011).
+- Every SAT answer's model is kept as a witness, with the set of formula
+  clauses it falsifies. When a witness falsifies exactly one clause of
+  shrink's working set, that clause is critical without a query, and
+  rotation starts from the witness's model. Replication-guided
+  enumeration reuses known satisfiable sets the same way (Bendik &
+  Cerna, CP 2020).
 - Grow starts from the seed's model and, after every SAT answer, takes
   in each clause the answer's model satisfies without a query
   (model-based grow, Marques-Silva et al., IJCAI 2013).
@@ -65,6 +71,10 @@ class SubsetSolver:
     outside the subset cost no decisions. The assumption core of an UNSAT
     answer maps back to the clauses it activates. ``occurs`` maps each
     literal to the clauses that hold it, for model rotation.
+
+    ``witnesses`` holds one ``(mask, model)`` pair per SAT answer, in
+    answer order: bit ``j`` of the int ``mask`` is set iff ``model``
+    falsifies clause ``j``. Shrink reads them; nothing else does.
     """
 
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
@@ -80,15 +90,19 @@ class SubsetSolver:
         for j, clause in enumerate(formula.clauses):
             for lit in dict.fromkeys(clause):
                 self.occurs.setdefault(lit, []).append(j)
+        self._satisfied_by = {lit: sum(1 << j for j in js)
+                              for lit, js in self.occurs.items()}
+        self._all = (1 << len(formula.clauses)) - 1
+        self.witnesses: list[tuple[int, set[int]]] = []
 
     def query(self, subset, deadline: float | None = None
               ) -> tuple[set[int] | None, set[int] | None]:
         """``(core, None)`` if ``subset`` is UNSAT, ``(None, model)`` if SAT.
 
         The core is an UNSAT subset of ``subset``; the model is the set of
-        true literals, one per variable of the formula. Raises
-        _DeadlinePassed once ``deadline`` (a ``time.perf_counter()``
-        value) passes.
+        true literals, one per variable of the formula, and is also kept
+        in ``witnesses``. Raises _DeadlinePassed once ``deadline`` (a
+        ``time.perf_counter()`` value) passes.
         """
         if deadline is not None and time.perf_counter() >= deadline:
             raise _DeadlinePassed("deadline passed")
@@ -97,7 +111,12 @@ class SubsetSolver:
         if result.status == UNKNOWN:
             raise _DeadlinePassed("deadline passed")
         if result.status == SAT:
-            return None, result.model - self._selector_literals
+            model = result.model - self._selector_literals
+            satisfied = 0
+            for lit in model:
+                satisfied |= self._satisfied_by.get(lit, 0)
+            self.witnesses.append((self._all ^ satisfied, model))
+            return None, model
         if result.core is None:
             raise AssertionError("internal: UNSAT subset answer without a core")
         return {self._clause_of[s] for s in result.core}, None
@@ -113,7 +132,10 @@ def _check_indices(formula: CnfFormula, subset) -> frozenset[int]:
 
 def is_mus(formula: CnfFormula, subset, engine: SatEngine | None = None) -> bool:
     """True iff the induced subset is UNSAT and every single-clause
-    deletion is SAT (Minimal Unsatisfiable Subset)."""
+    deletion is SAT (Minimal Unsatisfiable Subset).
+
+    As an audit it asks a fresh solver all ``1 + len(subset)`` questions
+    and reads no witness."""
     subset = _check_indices(formula, subset)
     solver = SubsetSolver(formula, engine)
     if solver.query(subset)[0] is None:
@@ -138,8 +160,8 @@ def shrink(formula: CnfFormula, seed, engine: SatEngine | None = None) -> MusRec
 
 def _shrink_in(solver: SubsetSolver, seed: set[int] | frozenset[int],
                deadline: float | None) -> set[int]:
-    """Deletion shrink of an UNSAT seed with clause-set refinement and
-    model rotation.
+    """Deletion shrink of an UNSAT seed with clause-set refinement,
+    witness reuse and model rotation.
 
     Clauses are tried in ascending index order. When the remainder
     without a clause is UNSAT, the working set becomes that answer's
@@ -147,15 +169,33 @@ def _shrink_in(solver: SubsetSolver, seed: set[int] | frozenset[int],
     clause already dropped is not tried. When it is SAT, the clause is
     critical, and ``_rotate`` marks more critical clauses from the
     answer's model; a critical clause is not tried either.
+
+    At the start and each time a core replaces the working set, every
+    witness of ``solver`` is scanned: one whose model falsifies exactly
+    one clause ``d`` of the working set satisfies the rest, so ``d`` is
+    critical without a query, and ``_rotate`` runs from that model.
     """
     current = set(seed)
     critical: set[int] = set()
+
+    def reuse_witnesses():
+        bits = sum(1 << j for j in current)
+        for mask, model in solver.witnesses:
+            hit = mask & bits  # never 0: the working set is UNSAT
+            if not hit & (hit - 1):
+                d = hit.bit_length() - 1
+                if d not in critical:
+                    critical.add(d)
+                    _rotate(solver, d, model, current, critical)
+
+    reuse_witnesses()
     for c in sorted(seed):
         if c not in current or c in critical:
             continue
         core, model = solver.query(current - {c}, deadline)
         if core is not None:
             current = core
+            reuse_witnesses()
         else:
             critical.add(c)
             _rotate(solver, c, model, current, critical)

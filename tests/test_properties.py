@@ -13,14 +13,15 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from musprune import sat
+from musprune import mus, sat
 from musprune.cnf import (CnfFormula, DimacsFormatError, parse_dimacs,
                           write_dimacs)
 from musprune.lcg import build_lcg, make_input_features
 from musprune.model import ModelConfig, forward, init_params
 from musprune.mus import (BRUTE_FORCE_CLAUSE_LIMIT, _grow_in, _rotate,
-                          SubsetSolver, brute_force_muses, enumerate_marco,
-                          is_mus, lift_muses, shrink, truth_table_satisfiable)
+                          _shrink_in, SubsetSolver, brute_force_muses,
+                          enumerate_marco, is_mus, lift_muses, shrink,
+                          truth_table_satisfiable)
 from musprune.pruning import (clause_length_prune, threshold_prune,
                               variable_frequency_prune)
 from musprune.sat import SAT, UNKNOWN, UNSAT, Solver
@@ -553,6 +554,40 @@ class TestModelUse:
                     _rotate(solver, c, model, current, marked)
                     assert marked <= critical, (c, sorted(model))
                     assert marked == reference_rotation(f, c, model, current)
+
+    @SETTINGS
+    @given(noisy_unsat(), st.data())
+    def test_shrink_marks_from_witnesses_only_critical_clauses(self, f,
+                                                               data):
+        """After real queries on drawn subsets, each witness's mask is the
+        set of clauses its model falsifies. Shrink then hands rotation only
+        clauses critical for its working set, with a model that satisfies
+        the rest of it, and returns a MUS inside its seed."""
+        current = unsat_subset(f, data)
+        solver = SubsetSolver(f)
+        for subset in data.draw(st.lists(
+                st.sets(st.integers(0, f.num_clauses - 1)), max_size=6)):
+            solver.query(subset)
+        for mask, model in solver.witnesses:
+            assert mask == sum(1 << j for j, clause in enumerate(f.clauses)
+                               if not satisfies(model, [clause]))
+        rotations = []
+
+        def recording_rotate(solver, d, model, current, critical):
+            rotations.append((d, model, set(current)))
+            _rotate(solver, d, model, current, critical)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mus, "_rotate", recording_rotate)
+            result = _shrink_in(solver, current, None)
+        for d, model, working in rotations:
+            assert d in working
+            assert satisfies(model, [f.clauses[j] for j in working - {d}])
+            assert truth_table_satisfiable(f.induced(working - {d}))
+        assert result <= current
+        assert not truth_table_satisfiable(f.induced(result))
+        for c in result:
+            assert truth_table_satisfiable(f.induced(result - {c}))
 
     @SETTINGS
     @given(noisy_unsat(), st.data())
