@@ -12,9 +12,9 @@ from .generators import (GenSpec, coloring_encoding, emit_corpus,
                          generate)
 from .lcg import (LiteralClauseGraph, build_lcg, make_input_features,
                   recover_formula)
-from .model import (ModelConfig, ModelParams, forward, grad_log_prob,
-                    init_params, load_checkpoint, log_prob, sample_mask,
-                    save_checkpoint, score_clauses, score_with_pullback)
+from .model import (ModelConfig, ModelParams, forward, init_params,
+                    load_checkpoint, log_prob, sample_mask, save_checkpoint,
+                    score_clauses, score_with_pullback)
 from .mus import (EnumerationTrace, MusRecord, brute_force_muses,
                   enumerate_marco, is_mus, lift_muses, shrink,
                   truth_table_satisfiable)

@@ -292,13 +292,6 @@ def _forward_with_pullback(params: ModelParams, graph, features):
     return mu, pullback
 
 
-def grad_log_prob(params: ModelParams, graph: LiteralClauseGraph,
-                  features, mask) -> dict[str, np.ndarray]:
-    """Exact gradient of log p(mask) w.r.t. every parameter tensor."""
-    _, pullback = _forward_with_pullback(params, graph, features)
-    return pullback(mask, 1.0)
-
-
 # ----------------------------------------------------------------------
 # checkpoints
 

@@ -16,12 +16,19 @@ assumption core, or a SAT answer's model. MARCO uses both:
   that clause alone. Recursive model rotation flips the model's
   variables one at a time to find more critical clauses, which are then
   never queried (Belov & Marques-Silva, FMCAD 2011).
+- From a query's model, rotation is extended: it passes once per walk
+  through a clause already known critical and goes on from there, so it
+  reaches critical clauses the plain walk stops short of (Belov, Lynce &
+  Marques-Silva, AI Communications 2012).
 - Every SAT answer's model is kept as a witness, with the set of formula
   clauses it falsifies. When a witness falsifies exactly one clause of
   shrink's working set, that clause is critical without a query, and
-  rotation starts from the witness's model. Replication-guided
+  plain rotation starts from the witness's model. Replication-guided
   enumeration reuses known satisfiable sets the same way (Bendik &
   Cerna, CP 2020).
+- MARCO's full UNSAT check is the answer to the whole map's first seed,
+  every clause, so that seed shrinks from the check's core and is not
+  queried again.
 - Grow starts from the seed's model and, after every SAT answer, takes
   in each clause the answer's model satisfies without a query
   (model-based grow, Marques-Silva et al., IJCAI 2013).
@@ -167,13 +174,15 @@ def _shrink_in(solver: SubsetSolver, seed: set[int] | frozenset[int],
     without a clause is UNSAT, the working set becomes that answer's
     core, which drops the clause and any others outside the core; a
     clause already dropped is not tried. When it is SAT, the clause is
-    critical, and ``_rotate`` marks more critical clauses from the
-    answer's model; a critical clause is not tried either.
+    critical, and extended ``_rotate`` marks more critical clauses from
+    the answer's model; a critical clause is not tried either.
 
     At the start and each time a core replaces the working set, every
     witness of ``solver`` is scanned: one whose model falsifies exactly
     one clause ``d`` of the working set satisfies the rest, so ``d`` is
-    critical without a query, and ``_rotate`` runs from that model.
+    critical without a query, and plain ``_rotate`` runs from that model.
+    Witness marks recur all through a run, and an extended walk from each
+    would cross the critical set again every time.
     """
     current = set(seed)
     critical: set[int] = set()
@@ -198,12 +207,13 @@ def _shrink_in(solver: SubsetSolver, seed: set[int] | frozenset[int],
             reuse_witnesses()
         else:
             critical.add(c)
-            _rotate(solver, c, model, current, critical)
+            _rotate(solver, c, model, current, critical, extend=True)
     return current
 
 
 def _rotate(solver: SubsetSolver, c: int, model: set[int],
-            current: set[int], critical: set[int]) -> None:
+            current: set[int], critical: set[int],
+            extend: bool = False) -> None:
     """Recursive model rotation (Belov & Marques-Silva, FMCAD 2011).
 
     ``model`` satisfies every clause of ``current`` but ``c``. Flipping
@@ -212,25 +222,41 @@ def _rotate(solver: SubsetSolver, c: int, model: set[int],
     the rest, so that clause is critical too, and rotation goes on from
     the flipped model. Each clause is judged under the flipped model, so
     a tautology is never false. Marks go into ``critical``; a clause
-    already there is not rotated from again. A clause critical for
-    ``current`` is in every UNSAT subset of it, hence in every later core.
+    already there is not rotated from again, except that with ``extend``
+    rotation passes through it once per call and goes on from the
+    flipped model (extended model rotation: Belov, Lynce & Marques-Silva,
+    AI Communications 2012). Every mark is sound either way: the flipped
+    model satisfies every clause of ``current`` but the marked one. A
+    clause critical for ``current`` is in every UNSAT subset of it, hence
+    in every later core.
+
+    Each flip is made in place and undone after its check, so ``model``
+    is unchanged on return; only a model the walk goes on from is copied.
     """
     clauses, occurs = solver.clauses, solver.occurs
+    passed: set[int] = set()
     stack = [(c, model)]
     while stack:
         c, model = stack.pop()
         for lit in dict.fromkeys(clauses[c]):
-            flipped = model ^ {lit, -lit}
+            model.discard(-lit)
+            model.add(lit)
             false_clause = None
             for d in occurs.get(-lit, ()):
-                if d in current and flipped.isdisjoint(clauses[d]):
+                if d in current and model.isdisjoint(clauses[d]):
                     if false_clause is not None:
                         break
                     false_clause = d
             else:
                 if false_clause is not None and false_clause not in critical:
                     critical.add(false_clause)
-                    stack.append((false_clause, flipped))
+                    stack.append((false_clause, set(model)))
+                elif (extend and false_clause in critical
+                      and false_clause not in passed):
+                    passed.add(false_clause)
+                    stack.append((false_clause, set(model)))
+            model.discard(lit)
+            model.add(-lit)
 
 
 def _grow_in(solver: SubsetSolver, seed: set[int], model: set[int],
@@ -268,9 +294,12 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     maximal. UNSAT seeds shrink to a MUS (supersets then blocked), from
     the core of the seed's own query; SAT seeds grow from that query's
     model to a maximal satisfiable subset of the clauses in play
-    (subsets then blocked). Stops when the map empties or, returning the
-    trace so far, when the budget runs out: every query, the first full
-    UNSAT check included, gets the deadline.
+    (subsets then blocked). The whole map's first seed is every clause,
+    so the first full UNSAT check answers it: its core shrinks to the
+    first MUS, and that seed costs no map solve and no second query.
+    Stops when the map empties or, returning the trace so far, when the
+    budget runs out: every query, the first full UNSAT check included,
+    gets the deadline.
 
     ``first``, when given, is a set of clause indices (a pruner's kept
     set) to enumerate inside first: the map leaves every other clause
@@ -300,22 +329,30 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     blocks: list[list[int]] = []
     trace = EnumerationTrace()
     try:
-        if solver.query(range(m), deadline)[0] is None:
+        core = solver.query(range(m), deadline)[0]
+        if core is None:
             raise ValueError("formula is satisfiable; it has no MUS")
+        # The whole map's first seed is every clause, which the check
+        # above has just answered.
+        first_seed = not restricted
         while time.perf_counter() < deadline:
-            result = map_solver.solve(deadline=deadline)
-            if result.status == UNSAT and restricted:
-                map_solver = Solver(num_vars=m)
-                for block in blocks:
-                    map_solver.add_clause(block)
-                universe, restricted = range(m), False
-                continue
-            if result.status != SAT:
-                trace.exhausted = result.status == UNSAT
-                break
-            seed = {j for j in range(m) if -(j + 1) in result.model}
-            trace.seeds_tested += 1
-            core, model = solver.query(seed, deadline)
+            if first_seed:
+                first_seed = False
+                trace.seeds_tested += 1
+            else:
+                result = map_solver.solve(deadline=deadline)
+                if result.status == UNSAT and restricted:
+                    map_solver = Solver(num_vars=m)
+                    for block in blocks:
+                        map_solver.add_clause(block)
+                    universe, restricted = range(m), False
+                    continue
+                if result.status != SAT:
+                    trace.exhausted = result.status == UNSAT
+                    break
+                seed = {j for j in range(m) if -(j + 1) in result.model}
+                trace.seeds_tested += 1
+                core, model = solver.query(seed, deadline)
             if core is None:
                 mss = _grow_in(solver, seed, model, universe, deadline)
                 block = [-(j + 1) for j in range(m) if j not in mss]

@@ -20,8 +20,8 @@ from musprune.generators import (coloring_encoding, gen_graph_coloring,
                                  gen_sr_random, gen_stat_matched)
 from musprune.cnf import clause_stats
 from musprune.lcg import build_lcg, make_input_features
-from musprune.model import (ModelConfig, forward, grad_log_prob, init_params,
-                            log_prob, sample_mask)
+from musprune.model import (ModelConfig, _forward_with_pullback, forward,
+                            init_params, log_prob, sample_mask)
 from musprune.mus import (brute_force_muses, enumerate_marco, is_mus,
                           lift_muses, truth_table_satisfiable)
 from musprune.pruning import (clause_length_prune, random_prune,
@@ -194,7 +194,7 @@ class TestCriterion05GradientCheck:
             x = make_input_features(g, cfg.random_feature_dim, trial)
             mu = forward(params, g, x)
             mask, _ = sample_mask(mu, trial)
-            grads = grad_log_prob(params, g, x, mask)
+            grads = _forward_with_pullback(params, g, x)[1](mask, 1.0)
             h = 1e-5
             for key, arr in params.tensors.items():
                 flat = arr.reshape(-1)
@@ -252,7 +252,7 @@ class TestCriterion06EstimatorUnbiasedness:
                 loss = prune_loss(f, sub, engine.is_satisfiable(sub))
                 factors = np.where(pruned_bits, mu, 1 - mu)
                 prob = float(np.prod(factors))
-                glp = grad_log_prob(params, g, x, keep)
+                glp = _forward_with_pullback(params, g, x)[1](keep, 1.0)
                 for k in score_expect:
                     score_expect[k] += prob * loss * glp[k]
                 for i in range(m):

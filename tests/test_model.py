@@ -4,8 +4,8 @@ import pytest
 from musprune.cnf import CnfFormula
 from musprune.generators import gen_sr_random
 from musprune.lcg import build_lcg, make_input_features
-from musprune.model import (LOG_EPS, ModelConfig, grad_log_prob, forward,
-                            init_params, load_checkpoint, log_prob,
+from musprune.model import (LOG_EPS, ModelConfig, _forward_with_pullback,
+                            forward, init_params, load_checkpoint, log_prob,
                             sample_mask, save_checkpoint, score_clauses,
                             score_with_pullback)
 
@@ -119,7 +119,7 @@ class TestScoreClauses:
 
 
 class TestScoreWithPullback:
-    def test_unit_signal_equals_grad_log_prob(self):
+    def test_unit_signal_equals_explicit_chain(self):
         f, g, p, _ = small_setup()
         seed = np.random.SeedSequence(entropy=(0, 1, 2, 3))
         x = make_input_features(g, SMALL.random_feature_dim, seed)
@@ -127,7 +127,7 @@ class TestScoreWithPullback:
         assert np.array_equal(mu, forward(p, g, x))
         keep, _ = sample_mask(mu, 11)
         grads = pullback(keep, 1.0)
-        expected = grad_log_prob(p, g, x, keep)
+        expected = _forward_with_pullback(p, g, x)[1](keep, 1.0)
         assert set(grads) == set(expected)
         for k in grads:
             assert np.array_equal(grads[k], expected[k]), k
@@ -139,7 +139,7 @@ class TestScoreWithPullback:
         mu, pullback = score_with_pullback(p, f, 7)
         keep, _ = sample_mask(mu, 11)
         grads = pullback(keep, signal)
-        unit = grad_log_prob(p, g, x, keep)
+        unit = _forward_with_pullback(p, g, x)[1](keep, 1.0)
         for k in grads:
             assert np.allclose(grads[k], signal * unit[k],
                                rtol=1e-12, atol=1e-15), k
@@ -215,7 +215,7 @@ class TestGradients:
                                      feature_seed=trial + 20)
             mu = forward(p, g, x)
             mask, _ = sample_mask(mu, trial)
-            grads = grad_log_prob(p, g, x, mask)
+            grads = _forward_with_pullback(p, g, x)[1](mask, 1.0)
             h = 1e-5
             for key in ("head.b2", "head.w2", "gnn0.lit_to_clause",
                         "gnn1.self_cls", "gnn0.negation"):
@@ -241,7 +241,7 @@ class TestGradients:
         f, g, p, x = small_setup()
         mu = forward(p, g, x)
         mask, _ = sample_mask(mu, 1)
-        grads = grad_log_prob(p, g, x, mask)
+        grads = _forward_with_pullback(p, g, x)[1](mask, 1.0)
         assert float(grads["head.b2"]) == pytest.approx(
             float((~mask - mu).sum()), abs=1e-12)
 
@@ -252,7 +252,7 @@ class TestGradients:
                 p.tensors[k] = np.zeros_like(v)
         p.tensors["head.b2"] = np.array(-30.0)  # mu ~ 1e-13, all-keep certain
         mask = np.ones(f.num_clauses, dtype=bool)
-        grads = grad_log_prob(p, g, x, mask)
+        grads = _forward_with_pullback(p, g, x)[1](mask, 1.0)
         norm = sum(float((g_ * g_).sum()) for g_ in grads.values())
         assert norm < 1e-10
 
@@ -260,7 +260,7 @@ class TestGradients:
         f, g, p, x = small_setup()
         mu = forward(p, g, x)
         mask, _ = sample_mask(mu, 2)
-        grads = grad_log_prob(p, g, x, mask)
+        grads = _forward_with_pullback(p, g, x)[1](mask, 1.0)
         assert set(grads) == set(p.tensors)
         nonzero = [k for k, g_ in grads.items() if np.abs(g_).sum() > 0]
         assert "gnn0.negation" in nonzero
@@ -396,7 +396,7 @@ class TestDeadWork:
         assert cache["pres"][-1].shape == (f.num_clauses, 64)
         assert len(cache["pres"]) == 2 * 5 - 1
         keep = np.random.default_rng(0).random(f.num_clauses) < 0.5
-        grads = grad_log_prob(params, g, x, keep)
+        grads = _forward_with_pullback(params, g, x)[1](keep, 1.0)
         for k, grad in grads.items():
             if k in LAST_LAYER_LITERAL_TENSORS:
                 assert not grad.any(), k

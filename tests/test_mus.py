@@ -5,7 +5,8 @@ import pytest
 
 from musprune import mus
 from musprune.cnf import CnfFormula
-from musprune.generators import coloring_encoding, gen_sr_random
+from musprune.generators import (coloring_encoding, gen_graph_coloring,
+                                 gen_sr_random)
 from musprune.mus import (EnumerationTrace, MusRecord, _DeadlinePassed,
                           SubsetSolver, brute_force_muses, enumerate_marco,
                           is_mus, lift_muses, shrink, truth_table_satisfiable)
@@ -206,6 +207,24 @@ class TestEnumerateMarco:
         assert time.perf_counter() - start < 0.2 + 2.0
         assert trace.muses == [] and not trace.exhausted
 
+    def test_first_seed_answered_by_the_full_check(self):
+        """Unrestricted, the map's first seed is every clause: the full
+        UNSAT check answers it, so that seed costs no second query. The
+        MUS sets and seed counts are those of a run that asks it again,
+        with one subset query fewer (11 and 18 queries then)."""
+        xor = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
+        for clauses, muses, seeds, calls in (
+                (xor, [[0, 1, 2, 3]], 5, 10),
+                (xor + [[1], [-1]],
+                 [[0, 1, 2, 3], [0, 1, 5], [2, 3, 4], [4, 5]], 8, 17)):
+            engine = SatEngine()
+            trace = enumerate_marco(CnfFormula(2, clauses), 30.0,
+                                    engine=engine)
+            assert trace.exhausted
+            assert mus_sets(trace.muses) == [tuple(m) for m in muses]
+            assert trace.seeds_tested == seeds
+            assert engine.calls == calls
+
     def test_tiny_budget_contract(self):
         rng = np.random.default_rng(5)
         f = random_unsat(rng, n_hi=5, m_hi=10)
@@ -214,15 +233,26 @@ class TestEnumerateMarco:
         assert trace.muses == []
 
 
-def marco_to_fourth_mus(engines):
-    """MARCO to the 4th MUS on 16 seeded SR formulas of 26-34 variables,
-    the i-th run with ``engines[i]``; the number of MUSes found."""
+def sr_formulas():
+    """16 seeded SR formulas of 26-34 variables."""
+    return [gen_sr_random(26 + i * 9 // 16, seed=(16, i)) for i in range(16)]
+
+
+def colourings():
+    """16 seeded UNSAT 3-colourings of G(12, 0.4)."""
+    return [gen_graph_coloring((12, 12), 0.4, (3, 3), seed=(23, i))
+            for i in range(16)]
+
+
+def marco_to_fourth_mus(engines, formulas=None):
+    """MARCO to the 4th MUS, or to exhaustion, on ``formulas`` (by default
+    ``sr_formulas()``), the i-th run with ``engines[i]``; the number of
+    MUSes found."""
     class Enough(Exception):
         pass
 
     muses = 0
-    for i in range(16):
-        f = gen_sr_random(26 + i * 9 // 16, seed=(16, i))
+    for i, f in enumerate(formulas or sr_formulas()):
         found = []
 
         def sink(record):
@@ -230,8 +260,10 @@ def marco_to_fourth_mus(engines):
             if len(found) == 4:
                 raise Enough
 
-        with pytest.raises(Enough):
+        try:
             enumerate_marco(f, 600.0, sink=sink, engine=engines[i])
+        except Enough:
+            pass
         muses += len(found)
     return muses
 
@@ -242,22 +274,39 @@ class TestQueryCount:
         formulas of 26-34 variables made 2,021 subset queries for 64 MUSes
         (31.6 per MUS) with deletion shrink and one query per grow
         candidate, 683 (10.7 per MUS) once shrink rotates models and grow
-        takes in what each model satisfies, and 496 (7.75 per MUS) now
-        that shrink also marks a clause critical when a model of an
-        earlier answer falsifies only it. The bound is under the second
-        figure."""
+        takes in what each model satisfies, 496 (7.75 per MUS) once shrink
+        also marks a clause critical when a model of an earlier answer
+        falsifies only it, and 451 (7.05 per MUS) now that rotation from a
+        query's model passes through clauses already critical and the
+        full UNSAT check answers the first seed. The bound is under the
+        third figure."""
         engines = [SatEngine() for _ in range(16)]
         muses = marco_to_fourth_mus(engines)
         queries = sum(engine.calls for engine in engines)
         assert muses == 64
-        assert queries / muses <= 9.0, queries
+        assert queries / muses <= 7.5, queries
+
+    def test_subset_queries_per_mus_on_colourings(self):
+        """A count, not a timing. MARCO to the 4th MUS on 16 seeded
+        3-colourings of G(12, 0.4) made 1,019 subset queries for 52 MUSes
+        (19.6 per MUS) with plain rotation, and makes 631 (12.1 per MUS)
+        now that rotation from a query's model passes through clauses
+        already critical and the full UNSAT check answers the first seed.
+        The bound is under the first figure."""
+        engines = [SatEngine() for _ in range(16)]
+        muses = marco_to_fourth_mus(engines, colourings())
+        queries = sum(engine.calls for engine in engines)
+        assert muses == 52
+        assert queries / muses <= 15.0, queries
 
     def test_map_solver_decisions_per_seed(self, monkeypatch):
         """A count, not a timing. On the same runs, the map solver made
         20,286 decisions for 128 seeds (158.5 per seed) when every solve
-        started from an empty trail, and makes 11,767 (91.9 per seed) now
-        that a SAT answer's trail stays for the next blocking clause. The
-        bound is 2/3 of the first figure."""
+        started from an empty trail, and 11,769 (91.9 per seed) once a SAT
+        answer's trail stays for the next blocking clause. It makes 11,580
+        (90.5 per seed) now that the full UNSAT check answers each run's
+        first seed, so the map solver is asked 112 times. The bound is
+        2/3 of the first figure."""
         decisions = []
 
         class CountingSolver(Solver):
@@ -268,8 +317,8 @@ class TestQueryCount:
 
         monkeypatch.setattr(mus, "Solver", CountingSolver)
         assert marco_to_fourth_mus([None] * 16) == 64
-        assert len(decisions) == 128
-        assert sum(decisions) / len(decisions) <= 105.0, sum(decisions)
+        assert len(decisions) == 128 - 16
+        assert sum(decisions) / 128 <= 105.0, sum(decisions)
 
 
 class TestLiftMuses:

@@ -517,10 +517,14 @@ class TestMus:
             assert truth_table_satisfiable(f.induced(mus - {c}))
 
 
-def reference_rotation(f, c, model, current):
+def reference_rotation(f, c, model, current, known, extend):
     """The clauses ``_rotate`` should mark, found in its order, but with
-    every clause of ``current`` judged under each flipped model."""
-    marked = {c}
+    every clause of ``current`` judged under each flipped model. ``known``
+    holds the clauses marked before the call, ``c`` among them; with
+    ``extend``, the walk goes on once per call through each marked
+    clause that a flipped model alone falsifies."""
+    marked = set(known)
+    passed = set()
     stack = [(c, model)]
     while stack:
         c, model = stack.pop()
@@ -528,8 +532,13 @@ def reference_rotation(f, c, model, current):
             flipped = (model - {-lit}) | {lit}
             false = [d for d in sorted(current)
                      if not satisfies(flipped, [f.clauses[d]])]
-            if len(false) == 1 and false[0] not in marked:
+            if len(false) != 1:
+                continue
+            if false[0] not in marked:
                 marked.add(false[0])
+                stack.append((false[0], flipped))
+            elif extend and false[0] not in passed:
+                passed.add(false[0])
                 stack.append((false[0], flipped))
     return marked
 
@@ -538,22 +547,30 @@ class TestModelUse:
     @SETTINGS
     @given(noisy_unsat(), st.data())
     def test_rotation_marks_only_critical_clauses(self, f, data):
-        """For every critical clause ``c`` of an UNSAT clause set and every
-        model of the set without ``c``, rotation marks the clauses the
-        reference marks, and each is critical: the set without it is
-        satisfiable. A tautology never is."""
+        """For every critical clause ``c`` of an UNSAT clause set, every
+        model of the set without ``c`` and a drawn set of clauses already
+        marked, rotation marks the clauses the reference marks, plain and
+        extended, and each is critical: the set without it is
+        satisfiable. A tautology never is. The model is left as it was."""
         current = unsat_subset(f, data)
         critical = {c for c in current
                     if truth_table_satisfiable(f.induced(current - {c}))}
+        known = data.draw(st.sets(st.sampled_from(sorted(critical)))
+                          if critical else st.just(set()))
         solver = SubsetSolver(f)
         for c in sorted(critical):
             rest = [f.clauses[d] for d in current - {c}]
             for model in assignments(f.num_vars):
-                if satisfies(model, rest):
-                    marked = {c}
-                    _rotate(solver, c, model, current, marked)
+                if not satisfies(model, rest):
+                    continue
+                for extend in (False, True):
+                    marked = known | {c}
+                    before = set(model)
+                    _rotate(solver, c, model, current, marked, extend)
+                    assert model == before
                     assert marked <= critical, (c, sorted(model))
-                    assert marked == reference_rotation(f, c, model, current)
+                    assert marked == reference_rotation(
+                        f, c, model, current, known | {c}, extend)
 
     @SETTINGS
     @given(noisy_unsat(), st.data())
@@ -562,7 +579,9 @@ class TestModelUse:
         """After real queries on drawn subsets, each witness's mask is the
         set of clauses its model falsifies. Shrink then hands rotation only
         clauses critical for its working set, with a model that satisfies
-        the rest of it, and returns a MUS inside its seed."""
+        the rest of it, and returns a MUS inside its seed. Rotation is
+        extended exactly when it starts from the model of the query just
+        made, and plain when it starts from a stored witness."""
         current = unsat_subset(f, data)
         solver = SubsetSolver(f)
         for subset in data.draw(st.lists(
@@ -571,12 +590,24 @@ class TestModelUse:
         for mask, model in solver.witnesses:
             assert mask == sum(1 << j for j, clause in enumerate(f.clauses)
                                if not satisfies(model, [clause]))
+        answers = []
         rotations = []
+        real_query = solver.query
 
-        def recording_rotate(solver, d, model, current, critical):
-            rotations.append((d, model, set(current)))
-            _rotate(solver, d, model, current, critical)
+        def recording_query(subset, deadline=None):
+            core, model = real_query(subset, deadline)
+            answers.append(model)
+            return core, model
 
+        def recording_rotate(solver, d, model, current, critical,
+                             extend=False):
+            from_query = bool(answers) and answers[-1] is model
+            assert extend == from_query
+            answers.append(None)
+            rotations.append((d, set(model), set(current)))
+            _rotate(solver, d, model, current, critical, extend)
+
+        solver.query = recording_query
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mus, "_rotate", recording_rotate)
             result = _shrink_in(solver, current, None)

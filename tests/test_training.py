@@ -4,8 +4,8 @@ import pytest
 from musprune.cnf import CnfFormula
 from musprune.generators import gen_sr_random
 from musprune.lcg import build_lcg, make_input_features
-from musprune.model import (ModelConfig, forward, grad_log_prob, init_params,
-                            log_prob)
+from musprune.model import (ModelConfig, _forward_with_pullback, forward,
+                            init_params, log_prob)
 from musprune.sat import SatEngine
 from musprune.training import (HISTORY_COLUMNS, OptimizerState, TrainConfig,
                                adam_update, evaluate_loss, prune_loss,
@@ -195,7 +195,7 @@ class TestEstimatorUnbiasedness:
                 loss = prune_loss(f, pruned, engine.is_satisfiable(pruned))
                 prob_factors = np.where(pruned_bits, mu, 1 - mu)
                 prob = float(np.prod(prob_factors))
-                glp = grad_log_prob(p, g, x, keep)
+                glp = _forward_with_pullback(p, g, x)[1](keep, 1.0)
                 for k in score_expect:
                     score_expect[k] += prob * loss * glp[k]
                 # dE/dmu_i = sum over masks of loss * dprob/dmu_i
@@ -224,7 +224,7 @@ class TestEstimatorUnbiasedness:
             pruned_bits = np.array([(bits >> i) & 1 == 1 for i in range(m)])
             keep = ~pruned_bits
             prob = float(np.prod(np.where(pruned_bits, mu, 1 - mu)))
-            glp = grad_log_prob(p, g, x, keep)
+            glp = _forward_with_pullback(p, g, x)[1](keep, 1.0)
             for k in total:
                 total[k] += prob * 1.0 * glp[k]
         for k, v in total.items():
