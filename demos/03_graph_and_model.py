@@ -1,8 +1,9 @@
 """From formula to graph to prune scores.
 
 Formulas become literal-clause graphs: one node per literal (positive
-and negated), one per clause, membership edges, and negation edges. A
-heterogeneous message-passing model reads the graph plus random node
+and negated) and one per clause, held as the sparse clause-by-literal
+incidence matrix; negation pairs each literal row with its negation's.
+A heterogeneous message-passing model reads the graph plus random node
 features and emits one prune probability per clause.
 """
 
@@ -16,10 +17,10 @@ f1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 graph = build_lcg(f1)
 print(f"nodes: {graph.num_nodes} ({graph.num_literal_nodes} literal, "
       f"{graph.num_clauses} clause)")
-print(f"membership edges: {len(graph.membership_edges)}, "
-      f"negation edges: {len(graph.negation_edges)}")
-print("membership edges [literal node, clause node]:",
-      graph.membership_edges.tolist())
+print(f"literal occurrences: {graph.incidence.nnz}")
+print("clause-by-literal incidence (literal rows x1 x2 -x1 -x2):")
+print(graph.incidence.toarray())
+print("negation pairs literal row i with row:", graph.negation.tolist())
 
 # The conversion is lossless.
 assert recover_formula(graph) == f1

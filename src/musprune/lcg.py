@@ -2,9 +2,10 @@
 
 Node layout for a formula with N variables and M clauses:
 rows 0..N-1 are positive literals, rows N..2N-1 the matching negations,
-rows 2N..2N+M-1 the clauses. Membership edges connect a literal node to
-every clause it occurs in; negation edges pair each literal with its
-negation. Both directions of every edge are used during message passing.
+rows 2N..2N+M-1 the clauses. The graph is its clause-by-literal
+incidence, an (M, 2N) CSR matrix with one 1.0 per literal occurrence;
+negation pairs literal row i with row (i + N) mod 2N. Message passing
+reads the incidence, its transpose and that permutation.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cnf import CnfFormula
 
@@ -21,9 +23,13 @@ from .cnf import CnfFormula
 @dataclass(frozen=True)
 class LiteralClauseGraph:
     num_vars: int
-    num_clauses: int
-    membership_edges: np.ndarray  # (E1, 2) int64 rows [literal_node, clause_node]
-    negation_edges: np.ndarray    # (N, 2) int64 rows [positive_node, negative_node]
+    # (M, 2N) CSR: row j holds clause j's literal rows in clause order; a
+    # literal repeated in a clause is two entries, which products count as 2.
+    incidence: sp.csr_matrix
+
+    @property
+    def num_clauses(self) -> int:
+        return self.incidence.shape[0]
 
     @property
     def num_literal_nodes(self) -> int:
@@ -41,42 +47,39 @@ class LiteralClauseGraph:
         x[self.num_literal_nodes:, 1] = 1.0
         return x
 
+    @cached_property
+    def incidence_t(self) -> sp.csr_matrix:
+        """The (2N, M) literal-by-clause transpose, as CSR."""
+        return self.incidence.T.tocsr()
 
-def literal_node(lit: int, num_vars: int) -> int:
-    """Graph row of a literal: positives first, then negations."""
-    return lit - 1 if lit > 0 else num_vars + (-lit) - 1
+    @cached_property
+    def negation(self) -> np.ndarray:
+        """Literal row i's negation is row ``negation[i]``."""
+        return np.roll(np.arange(2 * self.num_vars), self.num_vars)
 
 
 def build_lcg(formula: CnfFormula) -> LiteralClauseGraph:
-    """Build the literal-clause graph; clause node j maps to clause index j."""
+    """Build the literal-clause graph; clause row j is clause index j."""
     n, m = formula.num_vars, formula.num_clauses
-    lengths = np.fromiter(map(len, formula.clauses), dtype=np.int64, count=m)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, formula.clauses), dtype=np.int64, count=m),
+              out=indptr[1:])
     lits = np.fromiter(chain.from_iterable(formula.clauses), dtype=np.int64,
-                       count=int(lengths.sum()))
-    literal_nodes = np.where(lits > 0, lits - 1, n - lits - 1)
-    clause_nodes = np.repeat(np.arange(2 * n, 2 * n + m, dtype=np.int64), lengths)
-    positives = np.arange(n, dtype=np.int64)
-    return LiteralClauseGraph(
-        num_vars=n,
-        num_clauses=m,
-        membership_edges=np.column_stack([literal_nodes, clause_nodes]),
-        negation_edges=np.column_stack([positives, positives + n]),
-    )
+                       count=int(indptr[-1]))
+    literal_rows = np.where(lits > 0, lits - 1, n - lits - 1)
+    return LiteralClauseGraph(n, sp.csr_matrix(
+        (np.ones(len(lits)), literal_rows, indptr), shape=(m, 2 * n)))
 
 
 def recover_formula(graph: LiteralClauseGraph) -> CnfFormula:
-    """Inverse of :func:`build_lcg`; reads clause membership off the edges."""
+    """Inverse of :func:`build_lcg`; reads each clause off its row."""
     n = graph.num_vars
-    clauses: list[list[int]] = [[] for _ in range(graph.num_clauses)]
-    for lit_node, clause_node in graph.membership_edges:
-        j = int(clause_node) - 2 * n
-        if not 0 <= j < graph.num_clauses:
-            raise ValueError(f"membership edge targets non-clause node {clause_node}")
-        if not 0 <= int(lit_node) < 2 * n:
-            raise ValueError(f"membership edge from non-literal node {lit_node}")
-        lit = int(lit_node) + 1 if lit_node < n else -(int(lit_node) - n + 1)
-        clauses[j].append(lit)
-    return CnfFormula(n, clauses)
+    indptr, indices = graph.incidence.indptr, graph.incidence.indices
+    if len(indices) and not 0 <= indices.min() <= indices.max() < 2 * n:
+        raise ValueError(f"incidence column outside the {2 * n} literal rows")
+    lits = np.where(indices < n, indices + 1, n - indices - 1).tolist()
+    return CnfFormula(n, [lits[indptr[j]:indptr[j + 1]]
+                          for j in range(graph.num_clauses)])
 
 
 def make_input_features(graph: LiteralClauseGraph, d_r: int,
@@ -93,4 +96,3 @@ def make_input_features(graph: LiteralClauseGraph, d_r: int,
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((graph.num_nodes, d_r))
     return np.hstack([x_v, r])
-

@@ -7,9 +7,9 @@ Everything runs in float64. The per-layer update is
     h_v' = relu(W_self[type(v)] h_v + sum_r sum_{u in N_r(v)} W_r h_u + b[type(v)])
 
 with relations r in {literal->clause, clause->literal, negation}. With A
-the clause-by-literal incidence (built once per graph, as is its
-transpose) and neg the permutation pairing each literal row with its
-negation's, a layer computes one weight product per node type:
+the graph's clause-by-literal incidence and neg its permutation pairing
+each literal row with its negation's (both, and A's transpose, built once
+per graph), a layer computes one weight product per node type:
 
     clause rows:  h_cls W_self_cls^T + A (h_lit W_lit_to_clause^T) + b_cls
     literal rows: [h_lit | A^T h_cls | h_lit[neg]]
@@ -35,7 +35,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cnf import CnfFormula
 from .lcg import LiteralClauseGraph, build_lcg, make_input_features
@@ -116,28 +115,6 @@ def init_params(config: ModelConfig, seed) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def _csr(rows, cols, shape):
-    """The 0/1 CSR matrix with an entry at each (rows[e], cols[e]); a pair
-    listed twice is two entries, which products count as a 2."""
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((np.ones(len(rows)),
-                          cols[np.argsort(rows, kind="stable")], indptr),
-                         shape=shape)
-
-
-def _blocks(graph: LiteralClauseGraph):
-    """The clause-by-literal incidence and its transpose, both CSR, and
-    the negation permutation: literal row i's negation is row neg[i]."""
-    n_lit = graph.num_literal_nodes
-    me, ne = graph.membership_edges, graph.negation_edges
-    cls, lit = me[:, 1] - n_lit, me[:, 0]
-    neg = np.empty(n_lit, dtype=np.int64)
-    neg[ne[:, 0]], neg[ne[:, 1]] = ne[:, 1], ne[:, 0]
-    return (_csr(cls, lit, (graph.num_clauses, n_lit)),
-            _csr(lit, cls, (n_lit, graph.num_clauses)), neg)
-
-
 def _sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -156,18 +133,18 @@ def _forward_cached(params: ModelParams, graph: LiteralClauseGraph, features):
             f"feature matrix shape {h.shape} does not match "
             f"({graph.num_nodes}, {cfg.input_dim})"
         )
-    incidence, incidence_t, neg = _blocks(graph)
     h_lit, h_cls = h[:graph.num_literal_nodes], h[graph.num_literal_nodes:]
     layers = []
     pres = []
     for l in range(cfg.num_layers):
         pre_cls = (h_cls @ t[f"gnn{l}.self_cls"].T + t[f"gnn{l}.bias_cls"]
-                   + incidence @ (h_lit @ t[f"gnn{l}.lit_to_clause"].T))
+                   + graph.incidence @ (h_lit @ t[f"gnn{l}.lit_to_clause"].T))
         if l == cfg.num_layers - 1:  # the head reads clause rows only
             layers.append((h_lit, h_cls, None, None))
             pres.append(pre_cls)
             break
-        x_lit = np.concatenate([h_lit, incidence_t @ h_cls, h_lit[neg]], axis=1)
+        x_lit = np.concatenate(
+            [h_lit, graph.incidence_t @ h_cls, h_lit[graph.negation]], axis=1)
         w_lit = np.concatenate([t[f"gnn{l}.self_lit"], t[f"gnn{l}.clause_to_lit"],
                                 t[f"gnn{l}.negation"]], axis=1)
         pre_lit = x_lit @ w_lit.T + t[f"gnn{l}.bias_lit"]
@@ -179,10 +156,8 @@ def _forward_cached(params: ModelParams, graph: LiteralClauseGraph, features):
     h1 = np.maximum(pre1, 0.0)
     logits = h1 @ t["head.w2"] + t["head.b2"]
     mu = _sigmoid(logits)
-    cache = {
-        "blocks": (incidence, incidence_t, neg), "layers": layers,
-        "pres": pres, "z_cls": z_cls, "pre1": pre1, "h1": h1, "mu": mu,
-    }
+    cache = {"graph": graph, "layers": layers, "pres": pres, "z_cls": z_cls,
+             "pre1": pre1, "h1": h1, "mu": mu}
     return mu, cache
 
 
@@ -196,13 +171,12 @@ def score_clauses(params: ModelParams, formula: CnfFormula, seed) -> np.ndarray:
     """Per-clause prune probabilities of a formula: its literal-clause
     graph, input features whose random columns are drawn from ``seed``,
     and one forward pass."""
-    return score_with_pullback(params, formula, seed)[0]
+    return score_with_pullback(params, build_lcg(formula), seed)[0]
 
 
-def score_with_pullback(params: ModelParams, formula: CnfFormula, seed):
-    """:func:`score_clauses`'s mu and ``pullback(keep, signal)``: the
-    gradient of ``signal * log p(keep | mu)`` w.r.t. every parameter."""
-    graph = build_lcg(formula)
+def score_with_pullback(params: ModelParams, graph: LiteralClauseGraph, seed):
+    """The graph's mu and ``pullback(keep, signal)``: the gradient of
+    ``signal * log p(keep | mu)`` w.r.t. every parameter."""
     features = make_input_features(graph, params.config.random_feature_dim, seed)
     return _forward_with_pullback(params, graph, features)
 
@@ -243,14 +217,14 @@ def _backward_from_logits(params: ModelParams, cache, d_logits):
     grads["head.w1"] = d_pre1.T @ z_cls
     d_cls = d_pre1 @ t["head.w1"]
 
-    incidence, incidence_t, neg = cache["blocks"]
+    graph = cache["graph"]
     pres = list(cache["pres"])
     for l in reversed(range(len(cache["layers"]))):
         h_lit, h_cls, x_lit, w_lit = cache["layers"][l]
         d_pre_cls = d_cls * (pres.pop() > 0)
         grads[f"gnn{l}.self_cls"] = d_pre_cls.T @ h_cls
         grads[f"gnn{l}.bias_cls"] = d_pre_cls.sum(axis=0)
-        back = incidence_t @ d_pre_cls
+        back = graph.incidence_t @ d_pre_cls
         grads[f"gnn{l}.lit_to_clause"] = back.T @ h_lit
         if x_lit is not None:  # the last layer has no literal rows
             d_pre_lit = d_lit * (pres.pop() > 0)
@@ -263,9 +237,9 @@ def _backward_from_logits(params: ModelParams, cache, d_logits):
         d_cls = d_pre_cls @ t[f"gnn{l}.self_cls"]
         if x_lit is not None:
             d_x = _thirds(d_pre_lit @ w_lit)
-            # neg is an involution, so it also scatters the negation rows back
-            d_lit += d_x[0] + d_x[2][neg]
-            d_cls += incidence @ d_x[1]
+            # negation is an involution, so it also scatters its rows back
+            d_lit += d_x[0] + d_x[2][graph.negation]
+            d_cls += graph.incidence @ d_x[1]
     # The last layer's literal weights never reach mu: their gradient is 0.
     return {k: grads[k] if k in grads else np.zeros_like(v)
             for k, v in t.items()}

@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .cnf import CnfFormula, prune_clauses
+from .lcg import build_lcg
 from .model import (ModelParams, sample_mask, score_clauses,
                     score_with_pullback)
 from .pruning import threshold_prune
@@ -121,8 +122,8 @@ def reinforce_step(params: ModelParams, batch, engine: SatEngine,
                    ) -> tuple[ModelParams, OptimizerState, TrainMetrics]:
     """One REINFORCE step over a batch of UNSAT formulas.
 
-    Per formula and sample: score the formula, sample a keep mask, prune,
-    make exactly one SAT call, and accumulate loss * grad log p. The
+    Per formula, one graph; per sample, seeded features, a keep mask, one
+    pruning and exactly one SAT call, accumulating loss * grad log p. The
     gradient is averaged over batch x samples and applied with Adam.
     Returns the new params, the given ``state`` (updated in place) and
     the step's metrics.
@@ -134,9 +135,10 @@ def reinforce_step(params: ModelParams, batch, engine: SatEngine,
                                     for k, v in params.tensors.items()}
     losses, pruned_fracs, sat_failures = [], [], 0
     for idx, formula in enumerate(batch):
+        graph = build_lcg(formula)
         for s in range(config.samples_per_formula):
             feat_seed, mask_seed = _formula_rng_seed(seed, step, idx, s).spawn(2)
-            mu, pullback = score_with_pullback(params, formula, feat_seed)
+            mu, pullback = score_with_pullback(params, graph, feat_seed)
             keep, _ = sample_mask(mu, mask_seed)
             pruned, _ = prune_clauses(formula, keep)
             sat_status = engine.is_satisfiable(pruned)
@@ -180,6 +182,8 @@ def evaluate_loss(params: ModelParams, eval_set, engine: SatEngine,
                            _formula_rng_seed(seed, _EVAL_STEP, idx, 0))
         outcome = threshold_prune(formula, mu, EVAL_K, engine)
         losses.append(prune_loss(formula, outcome.pruned, not outcome.unsat))
+    if not losses:
+        raise ValueError("eval set must be nonempty")
     return float(np.mean(losses))
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from musprune.cnf import CnfFormula
 from musprune.generators import gen_graph_coloring, gen_sr_random
-from musprune.lcg import (build_lcg, literal_node, make_input_features,
+from musprune.lcg import (LiteralClauseGraph, build_lcg, make_input_features,
                           recover_formula)
 
 F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
@@ -14,26 +15,30 @@ class TestBuildLcg:
         g = build_lcg(F1)
         assert g.num_literal_nodes == 4
         assert g.num_clauses == 4
-        assert len(g.membership_edges) == 5  # occurrences 1+1+2+1
-        assert len(g.negation_edges) == 2
+        assert g.incidence.shape == (4, 4)
+        assert g.incidence.nnz == 5  # occurrences 1+1+2+1
+        assert g.negation.tolist() == [2, 3, 0, 1]
 
     def test_empty_formula(self):
         g = build_lcg(CnfFormula(0, []))
         assert g.num_nodes == 0
-        assert len(g.membership_edges) == 0
-        assert len(g.negation_edges) == 0
+        assert g.incidence.shape == (0, 0)
+        assert g.incidence.nnz == 0
+        assert len(g.negation) == 0
 
     def test_unused_variable_still_present(self):
         g = build_lcg(CnfFormula(3, [[1]]))
         assert g.num_literal_nodes == 6
-        assert len(g.negation_edges) == 3
+        assert g.incidence.shape == (1, 6)
+        assert g.negation.tolist() == [3, 4, 5, 0, 1, 2]
 
     def test_edge_counts_exact(self):
         for i in range(10):
             f = gen_sr_random(9, seed=i)
             g = build_lcg(f)
-            assert len(g.membership_edges) == sum(len(c) for c in f.clauses)
-            assert len(g.negation_edges) == f.num_vars
+            assert g.incidence.nnz == sum(len(c) for c in f.clauses)
+            assert g.incidence_t.nnz == g.incidence.nnz
+            assert len(g.negation) == 2 * f.num_vars
 
     def test_node_type_onehot(self):
         g = build_lcg(F1)
@@ -42,21 +47,25 @@ class TestBuildLcg:
         assert (x.sum(axis=1) == 1).all()
         assert (x[:4, 0] == 1).all() and (x[4:, 1] == 1).all()
 
-    def test_literal_node_layout(self):
-        assert literal_node(1, 3) == 0
-        assert literal_node(3, 3) == 2
-        assert literal_node(-1, 3) == 3
-        assert literal_node(-3, 3) == 5
 
-
-def reference_edges(formula):
-    """build_lcg's edge arrays from one loop step per literal occurrence."""
+def reference_incidence(formula):
+    """build_lcg's incidence, its transpose and the negation permutation,
+    each as index lists, from one loop step per literal occurrence:
+    literal v is row v - 1 and literal -v row N + v - 1."""
     n = formula.num_vars
-    membership = [(literal_node(lit, n), 2 * n + j)
-                  for j, clause in enumerate(formula.clauses) for lit in clause]
-    negation = [(i, n + i) for i in range(n)]
-    return (np.array(membership, dtype=np.int64).reshape(-1, 2),
-            np.array(negation, dtype=np.int64).reshape(-1, 2))
+    indptr, indices = [0], []
+    by_literal = [[] for _ in range(2 * n)]
+    for j, clause in enumerate(formula.clauses):
+        for lit in clause:
+            row = lit - 1 if lit > 0 else n - lit - 1
+            indices.append(row)
+            by_literal[row].append(j)
+        indptr.append(len(indices))
+    t_indptr = [0]
+    for clauses in by_literal:
+        t_indptr.append(t_indptr[-1] + len(clauses))
+    negation = [i + n if i < n else i - n for i in range(2 * n)]
+    return ((indptr, indices), (t_indptr, sum(by_literal, [])), negation)
 
 
 class TestBuildLcgAgainstLoop:
@@ -77,12 +86,19 @@ class TestBuildLcgAgainstLoop:
     @staticmethod
     def check(formula):
         g = build_lcg(formula)
-        for got, ref in zip((g.membership_edges, g.negation_edges),
-                            reference_edges(formula)):
-            assert got.dtype == ref.dtype == np.int64
-            assert got.shape == ref.shape
-            assert got.flags.c_contiguous
-            assert got.tobytes() == ref.tobytes()
+        m, n_lit = formula.num_clauses, 2 * formula.num_vars
+        (indptr, indices), (t_indptr, t_indices), negation = \
+            reference_incidence(formula)
+        for got, shape, ref_indptr, ref_indices in (
+                (g.incidence, (m, n_lit), indptr, indices),
+                (g.incidence_t, (n_lit, m), t_indptr, t_indices)):
+            assert isinstance(got, sp.csr_matrix)
+            assert got.dtype == np.float64
+            assert got.shape == shape
+            assert got.indptr.tolist() == ref_indptr
+            assert got.indices.tolist() == ref_indices
+            assert got.data.tolist() == [1.0] * len(ref_indices)
+        assert g.negation.tolist() == negation
         assert recover_formula(g) == formula
 
 
@@ -98,6 +114,14 @@ class TestRecoverFormula:
     def test_round_trip_with_empty_clause(self):
         f = CnfFormula(2, [[], [1, -2]])
         assert recover_formula(build_lcg(f)) == f
+
+    @pytest.mark.parametrize("column", [4, 7, -1])
+    def test_column_outside_literal_rows_rejected(self, column):
+        # scipy checks no column bounds when a CSR matrix is built
+        incidence = sp.csr_matrix(([1.0, 1.0], [0, column], [0, 1, 2]),
+                                  shape=(2, 4))
+        with pytest.raises(ValueError):
+            recover_formula(LiteralClauseGraph(2, incidence))
 
 
 class TestInputFeatures:

@@ -123,7 +123,7 @@ class TestScoreWithPullback:
         f, g, p, _ = small_setup()
         seed = np.random.SeedSequence(entropy=(0, 1, 2, 3))
         x = make_input_features(g, SMALL.random_feature_dim, seed)
-        mu, pullback = score_with_pullback(p, f, seed)
+        mu, pullback = score_with_pullback(p, g, seed)
         assert np.array_equal(mu, forward(p, g, x))
         keep, _ = sample_mask(mu, 11)
         grads = pullback(keep, 1.0)
@@ -136,7 +136,7 @@ class TestScoreWithPullback:
     def test_signal_scales_the_gradient(self, signal):
         f, g, p, _ = small_setup()
         x = make_input_features(g, SMALL.random_feature_dim, 7)
-        mu, pullback = score_with_pullback(p, f, 7)
+        mu, pullback = score_with_pullback(p, g, 7)
         keep, _ = sample_mask(mu, 11)
         grads = pullback(keep, signal)
         unit = _forward_with_pullback(p, g, x)[1](keep, 1.0)
@@ -145,8 +145,8 @@ class TestScoreWithPullback:
                                rtol=1e-12, atol=1e-15), k
 
     def test_mask_length_checked(self):
-        f, _, p, _ = small_setup()
-        mu, pullback = score_with_pullback(p, f, 7)
+        _, g, p, _ = small_setup()
+        mu, pullback = score_with_pullback(p, g, 7)
         with pytest.raises(ValueError, match="mask length"):
             pullback(np.ones(len(mu) + 1, dtype=bool), 1.0)
 
@@ -275,18 +275,23 @@ ONE_LAYER = ModelConfig(num_layers=1, hidden_dim=8, random_feature_dim=0,
                         mlp_hidden_dim=8)
 
 
-def dense_reference(params, graph, x, keep, signal):
-    """mu and the pullback's gradients from dense |V|x|V| adjacencies,
-    A[target, source] counting edges, and A.T as the backward pass."""
+def dense_reference(params, formula, x, keep, signal):
+    """mu and the pullback's gradients from dense |V|x|V| adjacencies built
+    from the clauses, A[target, source] counting edges, and A.T as the
+    backward pass. Literal v is row v - 1, -v row N + v - 1, clause j row
+    2N + j."""
     t, cfg = params.tensors, params.config
-    v = graph.num_nodes
+    n = formula.num_vars
+    v = 2 * n + formula.num_clauses
     adj = {rel: np.zeros((v, v)) for rel in RELATIONS}
-    me, ne = graph.membership_edges, graph.negation_edges
-    np.add.at(adj["lit_to_clause"], (me[:, 1], me[:, 0]), 1.0)
-    np.add.at(adj["clause_to_lit"], (me[:, 0], me[:, 1]), 1.0)
-    np.add.at(adj["negation"], (ne[:, 0], ne[:, 1]), 1.0)
-    np.add.at(adj["negation"], (ne[:, 1], ne[:, 0]), 1.0)
-    is_lit = (np.arange(v) < graph.num_literal_nodes)[:, None]
+    for j, clause in enumerate(formula.clauses):
+        for lit in clause:
+            row = lit - 1 if lit > 0 else n - lit - 1
+            adj["lit_to_clause"][2 * n + j, row] += 1.0
+            adj["clause_to_lit"][row, 2 * n + j] += 1.0
+    for i in range(n):
+        adj["negation"][i, n + i] = adj["negation"][n + i, i] = 1.0
+    is_lit = (np.arange(v) < 2 * n)[:, None]
     h, inputs, pres = x, [], []
     for l in range(cfg.num_layers):
         inputs.append(h)
@@ -347,9 +352,9 @@ class TestRelationBlocks:
             g = build_lcg(f)
             x = make_input_features(g, config.random_feature_dim, i)
             keep = np.random.default_rng(i).random(f.num_clauses) < 0.6
-            mu, pullback = score_with_pullback(params, f, i)
+            mu, pullback = score_with_pullback(params, g, i)
             grads = pullback(keep, 0.7)
-            ref_mu, ref_grads = dense_reference(params, g, x, keep, 0.7)
+            ref_mu, ref_grads = dense_reference(params, f, x, keep, 0.7)
             np.testing.assert_allclose(mu, ref_mu, rtol=1e-12, atol=1e-12)
             assert set(grads) == set(ref_grads) == set(params.tensors)
             for k in grads:
@@ -358,24 +363,25 @@ class TestRelationBlocks:
                                            atol=1e-12, err_msg=f"{i} {k}")
 
     def test_no_node_by_node_matrix(self, monkeypatch):
-        from musprune import model
+        # Every scipy sparse container runs this constructor.
+        from scipy.sparse import _base
         built = []
-        csr_matrix = model.sp.csr_matrix
+        init = _base._spbase.__init__
 
-        def recording(*args, **kwargs):
-            m = csr_matrix(*args, **kwargs)
-            built.append(m.shape)
-            return m
+        def recording(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(model.sp, "csr_matrix", recording)
+        monkeypatch.setattr(_base._spbase, "__init__", recording)
         params = init_params(SMALL, 1)
         for f in [CnfFormula(0, [[]]), CnfFormula(3, [[1], [-1]]),
                   gen_sr_random(12, seed=3)]:
             built.clear()
-            mu, pullback = score_with_pullback(params, f, 0)
+            mu, pullback = score_with_pullback(params, build_lcg(f), 0)
             pullback(np.ones(f.num_clauses, dtype=bool), 1.0)
+            shapes = [m.shape for m in built]
             num_nodes = 2 * f.num_vars + f.num_clauses
-            assert built and (num_nodes, num_nodes) not in built
+            assert shapes and (num_nodes, num_nodes) not in shapes
 
 
 LAST_LAYER_LITERAL_TENSORS = ("gnn4.self_lit", "gnn4.bias_lit",
@@ -419,8 +425,9 @@ class TestDeadWork:
                 assert not np.array_equal(after, before), k
 
     def test_pullback_builds_no_sparse_matrix(self, monkeypatch):
-        # The blocks are built once per graph, by the forward pass; every
-        # scipy sparse container runs this constructor.
+        # The incidence and its transpose are built once per graph, by
+        # build_lcg and the forward pass; every scipy sparse container
+        # runs this constructor.
         from scipy.sparse import _base
         built = []
         init = _base._spbase.__init__
@@ -432,7 +439,7 @@ class TestDeadWork:
         params = init_params(ModelConfig(), 1)
         for f in [CnfFormula(0, [[]]), CnfFormula(2, [[1, 1, -2], [-1], [2]]),
                   gen_sr_random(15, seed=2)]:
-            mu, pullback = score_with_pullback(params, f, 0)
+            mu, pullback = score_with_pullback(params, build_lcg(f), 0)
             monkeypatch.setattr(_base._spbase, "__init__", recording)
             pullback(np.random.default_rng(1).random(len(mu)) < 0.5, 1.0)
             monkeypatch.undo()

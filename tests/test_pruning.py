@@ -85,6 +85,17 @@ class TestThresholdPrune:
         with pytest.raises(ValueError):
             threshold_prune(F1, [0.1] * 3, 10, SatEngine())
 
+    @pytest.mark.parametrize("scores", [
+        [-0.9, -0.8, -0.1, -0.2], [0.02, 0.03, 0.9, -1e-12],
+        [0.02, float("nan"), 0.9, 0.6]], ids=["negative", "one_negative", "nan"])
+    def test_negative_or_nan_scores_rejected(self, scores):
+        # A negative max makes the grid descend, which the binary search
+        # cannot read: [-0.9, -0.8, -0.1, -0.2] kept all four clauses.
+        engine = SatEngine()
+        with pytest.raises(ValueError, match="nonnegative"):
+            threshold_prune(F1, scores, 10, engine)
+        assert engine.calls == 0
+
 
 class TestClauseLengthPrune:
     def test_short_core(self):

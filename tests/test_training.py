@@ -1,9 +1,13 @@
+import sys
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from musprune import lcg, training
 from musprune.cnf import CnfFormula
 from musprune.generators import gen_sr_random
-from musprune.lcg import build_lcg, make_input_features
+from musprune.lcg import build_lcg, make_input_features, recover_formula
 from musprune.model import (ModelConfig, _forward_with_pullback, forward,
                             init_params, log_prob)
 from musprune.sat import SatEngine
@@ -170,6 +174,49 @@ class TestReinforceStep:
         assert 0.0 <= m.pruned_fraction <= 1.0
         assert m.grad_norm >= 0.0
 
+    def test_one_graph_per_formula(self, monkeypatch):
+        # A formula's samples share its graph: only their seeded features
+        # differ, so the step equals one that builds a graph per sample.
+        batch = [gen_sr_random(8, seed=i) for i in range(3)]
+        cfg = tiny_config(batch_size=3, samples_per_formula=4,
+                          use_baseline=True)
+
+        def step():
+            state = OptimizerState(baseline=0.25)
+            params, _, metrics = reinforce_step(
+                init_params(SMALL, 0), batch, SatEngine(), state, seed=5,
+                config=cfg, step=2)
+            return params, metrics, state
+
+        builds = []
+        original = lcg.build_lcg
+
+        def counting(formula):
+            builds.append(formula)
+            return original(formula)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("musprune.")
+                    and vars(module).get("build_lcg") is original):
+                monkeypatch.setattr(module, "build_lcg", counting)
+        shared = step()
+        assert builds == batch
+        monkeypatch.undo()
+
+        score = training.score_with_pullback
+        monkeypatch.setattr(
+            training, "score_with_pullback", lambda params, graph, seed:
+            score(params, build_lcg(recover_formula(graph)), seed))
+        fresh = step()
+        for a, b in ((shared[0].tensors, fresh[0].tensors),
+                     (shared[2].m, fresh[2].m), (shared[2].v, fresh[2].v)):
+            assert set(a) == set(b)
+            for k in a:
+                assert a[k].tobytes() == b[k].tobytes(), k
+        assert astuple(shared[1]) == astuple(fresh[1])
+        assert ((shared[2].t, shared[2].baseline, shared[2].skipped_steps)
+                == (fresh[2].t, fresh[2].baseline, fresh[2].skipped_steps))
+
 
 class TestEstimatorUnbiasedness:
     def test_exhaustive_expectation_matches_gradient(self):
@@ -246,6 +293,10 @@ class TestTrain:
         p = init_params(SMALL, 0)
         loss = evaluate_loss(p, formulas, SatEngine(), seed=0)
         assert loss > 0.5  # near-zero pruning at a conservative init
+
+    def test_evaluate_loss_rejects_empty_eval_set(self):
+        with pytest.raises(ValueError, match="eval set"):
+            evaluate_loss(init_params(SMALL, 0), [], SatEngine())
 
     def test_rejects_sat_formula_with_identification(self):
         formulas = [gen_sr_random(6, seed=0), CnfFormula(2, [[1, 2]])]
