@@ -26,9 +26,9 @@ assumption core, or a SAT answer's model. MARCO uses both:
   plain rotation starts from the witness's model. Replication-guided
   enumeration reuses known satisfiable sets the same way (Bendik &
   Cerna, CP 2020).
-- MARCO's full UNSAT check is the answer to the whole map's first seed,
-  every clause, so that seed shrinks from the check's core and is not
-  queried again.
+- MARCO's first seed costs no map solve. Over the whole map it is
+  every clause, so it shrinks from the full UNSAT check's core; over a
+  pruner's kept set it is that set, queried right after the check.
 - Grow starts from the seed's model and, after every SAT answer, takes
   in each clause the answer's model satisfies without a query
   (model-based grow, Marques-Silva et al., IJCAI 2013).
@@ -291,19 +291,18 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
 
     Seeds come from a map solver with one variable per clause, true when
     the clause is left out; with phase saving a SAT seed need not be
-    maximal. UNSAT seeds shrink to a MUS (supersets then blocked), from
-    the core of the seed's own query; SAT seeds grow from that query's
-    model to a maximal satisfiable subset of the clauses in play
-    (subsets then blocked). The whole map's first seed is every clause,
-    so the first full UNSAT check answers it: its core shrinks to the
-    first MUS, and that seed costs no map solve and no second query.
-    Stops when the map empties or, returning the trace so far, when the
-    budget runs out: every query, the first full UNSAT check included,
-    gets the deadline.
+    maximal. Each seed's query answers it: an UNSAT seed shrinks from
+    the core to a MUS (supersets then blocked), a SAT seed grows from the
+    model to a maximal satisfiable subset of the clauses in play (subsets
+    then blocked). The first seed costs no map solve: over the whole map
+    it is every clause, which the full UNSAT check answers. Stops when
+    the map empties or, returning the trace so far, when the budget runs
+    out: the deadline is checked before every query and map solve.
 
     ``first``, when given, is a set of clause indices (a pruner's kept
     set) to enumerate inside first: the map leaves every other clause
-    out, and grow stays inside ``first``. Once that restricted map is
+    out, so its first seed is ``first``, queried after the full check,
+    and grow stays inside ``first``. Once that restricted map is
     exhausted, the enumeration goes on over the whole map, with every
     MUS and satisfiable set found so far still blocked; a satisfiable
     set stays satisfiable, so its block stays sound. MUSes are in the
@@ -315,44 +314,26 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     m = formula.num_clauses
     universe = range(m) if first is None else sorted(
         _check_indices(formula, first))
-    restricted = len(universe) < m
     solver = SubsetSolver(formula, engine)
-    # The restricted map fixes every clause outside ``first`` left out by
-    # a unit clause, so root simplification keeps its blocking clauses
-    # short. Assumed instead, those literals would sit in every blocking
-    # clause of a satisfiable set and in the learned clauses. The whole
-    # map, built when the restricted one is exhausted, gets the blocking
-    # clauses in full.
+    # The restricted map fixes each clause outside ``first`` left out by a
+    # unit clause, not an assumption, which keeps its blocking clauses and
+    # learned clauses short. Every other variable starts at phase False,
+    # so its first seed is ``first``. The whole map, built once the
+    # restricted one is exhausted, gets the blocking clauses in full.
     map_solver = Solver(num_vars=m)
     for j in sorted(set(range(m)) - set(universe)):
         map_solver.add_clause([j + 1])
     blocks: list[list[int]] = []
     trace = EnumerationTrace()
     try:
-        core = solver.query(range(m), deadline)[0]
+        core, model = solver.query(range(m), deadline)
         if core is None:
             raise ValueError("formula is satisfiable; it has no MUS")
-        # The whole map's first seed is every clause, which the check
-        # above has just answered.
-        first_seed = not restricted
-        while time.perf_counter() < deadline:
-            if first_seed:
-                first_seed = False
-                trace.seeds_tested += 1
-            else:
-                result = map_solver.solve(deadline=deadline)
-                if result.status == UNSAT and restricted:
-                    map_solver = Solver(num_vars=m)
-                    for block in blocks:
-                        map_solver.add_clause(block)
-                    universe, restricted = range(m), False
-                    continue
-                if result.status != SAT:
-                    trace.exhausted = result.status == UNSAT
-                    break
-                seed = {j for j in range(m) if -(j + 1) in result.model}
-                trace.seeds_tested += 1
-                core, model = solver.query(seed, deadline)
+        seed = universe
+        if len(universe) < m:
+            core, model = solver.query(seed, deadline)
+        while True:
+            trace.seeds_tested += 1
             if core is None:
                 mss = _grow_in(solver, seed, model, universe, deadline)
                 block = [-(j + 1) for j in range(m) if j not in mss]
@@ -364,8 +345,24 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
                     sink(record)
                 block = [j + 1 for j in sorted(mus_set)]
             map_solver.add_clause(block)
-            if restricted:
+            if len(universe) < m:
                 blocks.append(block)
+            if time.perf_counter() >= deadline:
+                break
+            result = map_solver.solve(deadline=deadline)
+            if result.status == UNSAT and len(universe) < m:
+                map_solver = Solver(num_vars=m)
+                for block in blocks:
+                    map_solver.add_clause(block)
+                universe = range(m)
+                if time.perf_counter() >= deadline:
+                    break
+                result = map_solver.solve(deadline=deadline)
+            if result.status != SAT:
+                trace.exhausted = result.status == UNSAT
+                break
+            seed = {j for j in range(m) if -(j + 1) in result.model}
+            core, model = solver.query(seed, deadline)
     except _DeadlinePassed:
         pass
     return trace

@@ -89,7 +89,7 @@ def threshold_prune(formula: CnfFormula, scores, k: int,
 
     Clause i is kept iff score_i <= t; the search runs over k+1 equally
     spaced thresholds from max(scores)/k to max(scores), which ascend
-    only because scores must be nonnegative (NaN rejected), and returns
+    only because scores must be finite and nonnegative, and returns
     the most aggressive UNSAT-preserving cut, or the original formula
     when no candidate below max(scores) stays UNSAT. Uses at most
     ceil(log2(k+1)) SAT calls.
@@ -99,8 +99,8 @@ def threshold_prune(formula: CnfFormula, scores, k: int,
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (formula.num_clauses,):
         raise ValueError("score vector length does not match clause count")
-    if not (scores >= 0).all():
-        raise ValueError("scores must be nonnegative and not NaN")
+    if not (np.isfinite(scores) & (scores >= 0)).all():
+        raise ValueError("scores must be finite and nonnegative")
     if formula.num_clauses == 0:
         return _outcome(formula, "threshold", 0, formula, True)
     return _grid_search(formula, scores, _threshold_levels(scores, k), engine,

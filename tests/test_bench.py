@@ -18,8 +18,8 @@ from musprune.bench import (BenchConfig, BenchReport, PrunerSpec, RunRecord,
                             report_to_markdown, run_benchmark, run_pipeline,
                             scatter_pairs, scatter_to_csv, _aggregate)
 from musprune.cnf import CnfFormula, write_dimacs
-from musprune.mus import (brute_force_muses, enumerate_marco,
-                          truth_table_satisfiable)
+from musprune.mus import (EnumerationTrace, MusRecord, brute_force_muses,
+                          enumerate_marco, truth_table_satisfiable)
 from musprune.pruning import random_prune
 from musprune.sat import SatEngine
 
@@ -108,6 +108,17 @@ class TestRunPipeline:
                               enumerate_marco, 1.0, seed=0)
         assert record.status == "enum_error"
         assert "satisfiable" in record.reason
+
+    def test_audit_fails_on_a_non_minimal_subset(self):
+        # {0, 1, 2} is UNSAT in F1, but {0, 1} already is.
+        def external(formula, budget):
+            return EnumerationTrace(muses=[MusRecord(frozenset({0, 1, 2}))])
+
+        record = run_pipeline(F1, make_pruner(PrunerSpec(kind="none")),
+                              external, 30.0, seed=0)
+        assert record.status == "ok" and record.mus_count == 1
+        assert record.audit_checked >= 1
+        assert record.audit_ok is False
 
 
 class TestContinuation:

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -381,6 +382,21 @@ class TestBench:
         assert capsys.readouterr().err == "error: audit sample must be >= 0\n"
         assert not any(n.startswith("r.") for n in os.listdir(tmp_path))
 
+    def test_failed_audit_exits_1(self, tmp_path, capsys):
+        # The stub names {0, 1, 2} of F1, which is UNSAT but not minimal.
+        problems = tmp_path / "problems"
+        problems.mkdir()
+        (problems / "f1.cnf").write_text(F1_TEXT)
+        script = tmp_path / "stub_enum.py"
+        script.write_text("print('0 1 2')\n")
+        assert main(["bench", "--problems", str(problems), "--pruner", "none",
+                     "--budgets", "5", "--external-command",
+                     f"{sys.executable} {script} {{dimacs}} {{budget}}",
+                     "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            "error: 1 runs produced MUSes failing validation against the "
+            "original formula\n")
+
     def test_reports_reproducible_modulo_wall_time(self, tmp_path, problem_dir):
         pa, pb = str(tmp_path / "ra"), str(tmp_path / "rb")
         assert self.run_bench(problem_dir, pa) == 0
@@ -429,6 +445,19 @@ class TestValidate:
                      *flags]) == 1
         out, err = capsys.readouterr()
         assert err == f"error: {message}\n"
+        assert "all invariants hold" not in out
+
+    def test_failed_audit_reported(self, problem_dir, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "is_mus", lambda *args, **kwargs: False)
+        assert main(["validate", "--problems", problem_dir,
+                     "--budget", "5"]) == 1
+        out, err = capsys.readouterr()
+        fails = [line for line in err.splitlines() if line.startswith("FAIL ")]
+        # Two pruners per problem, each with an audited MUS.
+        assert len(fails) == 6
+        assert all(line.endswith("an audited MUS is not a MUS of the input")
+                   for line in fails)
+        assert err.splitlines()[-1] == "error: 6 invariant violations"
         assert "all invariants hold" not in out
 
     def test_checkpoint_loaded_once(self, tmp_path, problem_dir, monkeypatch):

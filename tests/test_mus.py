@@ -189,6 +189,26 @@ class TestEnumerateMarco:
                                                              [0, 1]]
         assert trace.exhausted
 
+    def test_first_mus_of_kept_set_before_any_map_solve(self, monkeypatch):
+        """The restricted map's first seed is the kept set itself, which is
+        queried right after the full check: the first MUS reaches the sink
+        before the map is solved at all."""
+        events = []
+        solve = Solver.solve
+
+        def spy(self, *args, **kwargs):
+            if type(self) is Solver:  # the subset solver is a SolverSession
+                events.append("map solve")
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solver, "solve", spy)
+        trace = enumerate_marco(
+            F1, 30.0, sink=lambda r: events.append(r.sorted_indices()),
+            first={1, 2, 3})
+        assert trace.exhausted
+        assert events[0] == [1, 2, 3]
+        assert "map solve" in events
+
     def test_first_index_out_of_range(self):
         with pytest.raises(IndexError, match="out of range"):
             enumerate_marco(F1, 30.0, first={0, 4})

@@ -5,8 +5,9 @@ the clauses it had before (reverse unit propagation: Goldberg & Novikov,
 DATE 2003; the check DRAT-trim makes), and the assumptions of every core
 must propagate to a conflict. The log is taken by wrapping
 ``Solver.add_clause``, ``Solver._analyze`` and ``Solver.solve`` for the
-solvers of MARCO runs, map and subset solvers both, and for the subset
-solver of the threshold search, and replayed by a small checker that
+solvers of MARCO runs, map and subset solvers both, whole runs and runs
+inside a pruner's kept set first, and for the subset solver of the
+threshold search, and replayed by a small checker that
 shares no code with the engine.
 """
 
@@ -136,15 +137,20 @@ def logged_run(monkeypatch, run, drop_literal=False):
     return result, list(logs.values())
 
 
-@pytest.fixture(scope="module")
-def held_out():
-    """The first 10 held-out SR formulas of acceptance criterion 9 (20-40
-    variables): the same generator stream, past its 5000 training draws."""
+def criterion9_held_out(count):
+    """The first ``count`` held-out SR formulas of acceptance criterion 9
+    (20-40 variables): the same generator stream, past its 5000 training
+    draws."""
     rng = np.random.default_rng(4242)
     for _ in range(5000):
         rng.integers(20, 41)
     return [gen_sr_random(int(rng.integers(20, 41)), seed=(33, i))
-            for i in range(10)]
+            for i in range(count)]
+
+
+@pytest.fixture(scope="module")
+def held_out():
+    return criterion9_held_out(10)
 
 
 class TestProofReplay:
@@ -182,3 +188,22 @@ class TestProofReplay:
                 cut += 1
                 assert any(kind == "core" for kind, _ in logs[0])
         assert cut >= 3, cut
+
+    def test_kept_set_runs_are_rup(self, monkeypatch):
+        """Runs inside each formula's ``variable_frequency_prune`` kept
+        set first: the kept set's own query, the restricted map and, once
+        that is exhausted, the whole map rebuilt from its blocks. Held-out
+        formulas 20-29, where some kept sets run out of MUSes early."""
+        formulas = criterion9_held_out(30)[20:]
+        kept = [set(variable_frequency_prune(f, 10, SatEngine()).index_map)
+                for f in formulas]
+        traces, logs = logged_run(monkeypatch, lambda: [
+            enumerate_marco(f, 0.5, first=first)
+            for f, first in zip(formulas, kept)])
+        for events in logs:
+            assert replay(events) == []
+        past = sum(any(not r.clause_indices <= first for r in trace.muses)
+                   for trace, first in zip(traces, kept))
+        assert past >= 1
+        # A run past its kept set adds the rebuilt map's solver.
+        assert len(logs) >= 2 * len(formulas) + past

@@ -87,12 +87,15 @@ class TestThresholdPrune:
 
     @pytest.mark.parametrize("scores", [
         [-0.9, -0.8, -0.1, -0.2], [0.02, 0.03, 0.9, -1e-12],
-        [0.02, float("nan"), 0.9, 0.6]], ids=["negative", "one_negative", "nan"])
+        [0.02, float("nan"), 0.9, 0.6], [0.02, 0.03, float("inf"), 0.6]],
+        ids=["negative", "one_negative", "nan", "inf"])
     def test_negative_or_nan_scores_rejected(self, scores):
         # A negative max makes the grid descend, which the binary search
-        # cannot read: [-0.9, -0.8, -0.1, -0.2] kept all four clauses.
+        # cannot read: [-0.9, -0.8, -0.1, -0.2] kept all four clauses. An
+        # infinite max makes every threshold NaN, so each probe asks the
+        # empty set: [0.02, 0.03, inf, 0.6] kept all four after 3 probes.
         engine = SatEngine()
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             threshold_prune(F1, scores, 10, engine)
         assert engine.calls == 0
 
@@ -122,6 +125,10 @@ class TestClauseLengthPrune:
             if out.kept_fraction < 1:
                 assert not truth_table_satisfiable(out.pruned)
 
+    def test_invalid_steps(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            clause_length_prune(F1, 0, SatEngine())
+
 
 class TestVariableFrequencyPrune:
     def test_f1_scores(self):
@@ -145,6 +152,10 @@ class TestVariableFrequencyPrune:
             out = variable_frequency_prune(f, 10, SatEngine())
             if out.kept_fraction < 1:
                 assert not truth_table_satisfiable(out.pruned)
+
+    def test_invalid_k(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            variable_frequency_prune(F1, 0, SatEngine())
 
 
 class TestRandomPrune:
