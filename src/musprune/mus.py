@@ -32,6 +32,10 @@ assumption core, or a SAT answer's model. MARCO uses both:
 - Grow starts from the seed's model and, after every SAT answer, takes
   in each clause the answer's model satisfies without a query
   (model-based grow, Marques-Silva et al., IJCAI 2013).
+- Grow also leaves out, without a query, a clause that would complete a
+  MUS the run has already found: that set holds the MUS, so it is UNSAT.
+  MARCO keeps one bitmask per found MUS, listed under each of its
+  clauses.
 """
 
 from __future__ import annotations
@@ -260,24 +264,35 @@ def _rotate(solver: SubsetSolver, c: int, model: set[int],
 
 
 def _grow_in(solver: SubsetSolver, seed: set[int], model: set[int],
-             universe, deadline: float | None) -> set[int]:
+             universe, deadline: float | None,
+             muses_of: list[list[int]]) -> set[int]:
     """Grow a satisfiable seed to a maximal satisfiable subset of the
     ascending clause indices ``universe``; ``model`` satisfies the seed.
 
     Model-based grow (Marques-Silva et al., IJCAI 2013): every clause of
     the universe that the latest model satisfies joins without a query,
     and a clause is queried only when no model so far satisfied it.
+    ``muses_of[c]`` lists the bitmasks of the MUSes found so far that
+    hold clause ``c``. A clause that would complete one of them makes the
+    set UNSAT, so it stays out without a query.
     """
     clauses = solver.clauses
     current = set(seed)
+    bits = sum(1 << j for j in current)
 
     def absorb(model):
-        current.update(d for d in universe if d not in current
-                       and not model.isdisjoint(clauses[d]))
+        nonlocal bits
+        for d in universe:
+            if d not in current and not model.isdisjoint(clauses[d]):
+                current.add(d)
+                bits |= 1 << d
 
     absorb(model)
     for c in universe:
         if c not in current:
+            with_c = bits | 1 << c
+            if any(mask | with_c == with_c for mask in muses_of[c]):
+                continue
             core, model = solver.query(current | {c}, deadline)
             if core is None:
                 absorb(model)
@@ -294,10 +309,11 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     maximal. Each seed's query answers it: an UNSAT seed shrinks from
     the core to a MUS (supersets then blocked), a SAT seed grows from the
     model to a maximal satisfiable subset of the clauses in play (subsets
-    then blocked). The first seed costs no map solve: over the whole map
-    it is every clause, which the full UNSAT check answers. Stops when
-    the map empties or, returning the trace so far, when the budget runs
-    out: the deadline is checked before every query and map solve.
+    then blocked), leaving out unasked each clause that would complete a
+    MUS already found. The first seed costs no map solve: over the whole
+    map it is every clause, which the full UNSAT check answers. Stops
+    when the map empties or, returning the trace so far, when the budget
+    runs out: the deadline is checked before every query and map solve.
 
     ``first``, when given, is a set of clause indices (a pruner's kept
     set) to enumerate inside first: the map leaves every other clause
@@ -324,6 +340,7 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     for j in sorted(set(range(m)) - set(universe)):
         map_solver.add_clause([j + 1])
     blocks: list[list[int]] = []
+    muses_of: list[list[int]] = [[] for _ in range(m)]
     trace = EnumerationTrace()
     try:
         core, model = solver.query(range(m), deadline)
@@ -335,11 +352,15 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
         while True:
             trace.seeds_tested += 1
             if core is None:
-                mss = _grow_in(solver, seed, model, universe, deadline)
+                mss = _grow_in(solver, seed, model, universe, deadline,
+                               muses_of)
                 block = [-(j + 1) for j in range(m) if j not in mss]
             else:
                 mus_set = _shrink_in(solver, core, deadline)
                 record = MusRecord(frozenset(mus_set))
+                mask = sum(1 << j for j in mus_set)
+                for j in mus_set:
+                    muses_of[j].append(mask)
                 trace.muses.append(record)
                 if sink is not None:
                     sink(record)

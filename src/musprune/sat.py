@@ -26,7 +26,13 @@ An assumption-free SAT answer keeps its trail. A clause added next
 backtracks only as far as it needs, and the next assumption-free solve
 goes on from there, so a caller that adds one blocking clause per answer
 does not re-decide every variable (van der Tak, Ramos & Heule, JSAT
-2011). A solve with assumptions starts and ends at the root.
+2011). A unit clause, too, backtracks only past its variable's level: its
+literal joins the trail at level 0 where it stands, above decisions, and
+a backtrack keeps it and propagates it again. A conflict can then have
+no literal at the current level; the search first backtracks to the
+conflict's highest level, and at level 0 the answer is UNSAT
+(chronological backtracking, Nadel & Ryvchin, SAT 2018, here for root
+units only). A solve with assumptions starts and ends at the root.
 """
 
 from __future__ import annotations
@@ -150,8 +156,11 @@ class Solver:
         of the others, the two latest are watched, an unassigned literal
         counting as later than any assigned one. If either of the two is
         assigned, the trail goes back to one level below the second-latest
-        literal's, which frees both. A unit or empty clause goes to the
-        root. At the root this is plain root-level simplification.
+        literal's, which frees both. A unit clause whose literal is
+        assigned goes back to one level below that literal's, which frees
+        it; either way the literal joins the trail at level 0 where the
+        trail stands. An empty clause goes to the root. At the root this
+        is plain root-level simplification.
         """
         seen = set()
         clause = []
@@ -188,12 +197,14 @@ class Solver:
             elif key > k1:
                 k1, i1 = key, len(kept)
             kept.append(lit)
-        if len(kept) < 2:
+        if not kept:
             self._backtrack(0)
-            if kept:
-                self._enqueue(kept[0], None)
-            else:
-                self.ok = False
+            self.ok = False
+            return
+        if len(kept) == 1:
+            self._backtrack(k0 - 1)
+            self._enqueue(kept[0], None)
+            self._level[abs(kept[0])] = 0
             return
         if k1 < free:
             self._backtrack(k1 - 1)
@@ -225,18 +236,26 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         lim = self._trail_lim[level]
+        trail, level_of = self._trail, self._level
+        phase, assign, reason = self._phase, self._assign, self._reason
         heap, act, decision = self._heap, self._activity, self._decision
-        for i in range(len(self._trail) - 1, lim - 1, -1):
-            lit = self._trail[i]
-            v = abs(lit)
-            self._phase[v] = lit > 0
-            self._assign[v] = 0
-            self._reason[v] = None
+        root = []  # level-0 literals above the cut, latest first
+        for i in range(len(trail) - 1, lim - 1, -1):
+            lit = trail[i]
+            v = lit if lit > 0 else -lit
+            if not level_of[v]:
+                root.append(lit)
+                continue
+            phase[v] = lit > 0
+            assign[v] = 0
+            reason[v] = None
             if decision[v]:
                 heappush(heap, (-act[v], v))
-        del self._trail[lim:]
+        del trail[lim:]
         del self._trail_lim[level:]
-        self._qhead = min(self._qhead, len(self._trail))
+        # Kept level-0 literals go back on the trail, to propagate again.
+        trail.extend(reversed(root))
+        self._qhead = min(self._qhead, lim)
         # Stale entries pile up with every backtrack; dropping them keeps
         # the heap's memory linear in the number of variables.
         if len(heap) > 2 * self.num_vars:
@@ -263,7 +282,8 @@ class Solver:
     # search
 
     def _propagate(self) -> list[int] | None:
-        """Propagate pending assignments; returns a conflicting clause.
+        """Propagate pending assignments; returns a conflicting clause,
+        whose second literal is the one the propagation just falsified.
 
         The engine's hottest loop: literal values, ``_code`` and
         ``_enqueue`` are written out inline.
@@ -430,6 +450,12 @@ class Solver:
                 self.stats.conflicts += 1
                 since_restart += 1
                 level = len(self._trail_lim)
+                if not self._level[abs(conflict[1])]:
+                    # Falsified by a level-0 literal above the root, the
+                    # conflict may have no literal at the current level;
+                    # it is analysed at its own highest level.
+                    level = max(self._level[abs(q)] for q in conflict)
+                    self._backtrack(level)
                 if level == 0:
                     self.ok = False
                     return SatResult(UNSAT, None, self.stats)

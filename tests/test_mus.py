@@ -231,12 +231,14 @@ class TestEnumerateMarco:
         """Unrestricted, the map's first seed is every clause: the full
         UNSAT check answers it, so that seed costs no second query. The
         MUS sets and seed counts are those of a run that asks it again,
-        with one subset query fewer (11 and 18 queries then)."""
+        with one subset query fewer (11 and 18 queries then, 10 and 17
+        without it). Grow now skips a candidate that completes a MUS
+        already found, which leaves 6 and 9."""
         xor = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
         for clauses, muses, seeds, calls in (
-                (xor, [[0, 1, 2, 3]], 5, 10),
+                (xor, [[0, 1, 2, 3]], 5, 6),
                 (xor + [[1], [-1]],
-                 [[0, 1, 2, 3], [0, 1, 5], [2, 3, 4], [4, 5]], 8, 17)):
+                 [[0, 1, 2, 3], [0, 1, 5], [2, 3, 4], [4, 5]], 8, 9)):
             engine = SatEngine()
             trace = enumerate_marco(CnfFormula(2, clauses), 30.0,
                                     engine=engine)
@@ -264,10 +266,10 @@ def colourings():
             for i in range(16)]
 
 
-def marco_to_fourth_mus(engines, formulas=None):
+def marco_to_fourth_mus(engines, formulas=None, on_mus=None):
     """MARCO to the 4th MUS, or to exhaustion, on ``formulas`` (by default
     ``sr_formulas()``), the i-th run with ``engines[i]``; the number of
-    MUSes found."""
+    MUSes found. ``on_mus``, when given, sees each MUS record."""
     class Enough(Exception):
         pass
 
@@ -277,6 +279,8 @@ def marco_to_fourth_mus(engines, formulas=None):
 
         def sink(record):
             found.append(record)
+            if on_mus is not None:
+                on_mus(record)
             if len(found) == 4:
                 raise Enough
 
@@ -298,35 +302,72 @@ class TestQueryCount:
         also marks a clause critical when a model of an earlier answer
         falsifies only it, and 451 (7.05 per MUS) now that rotation from a
         query's model passes through clauses already critical and the
-        full UNSAT check answers the first seed. The bound is under the
-        third figure."""
+        full UNSAT check answers the first seed, and 366 (5.72 per MUS)
+        now that grow skips a candidate that completes a MUS already
+        found. The bound is under the fourth figure."""
         engines = [SatEngine() for _ in range(16)]
         muses = marco_to_fourth_mus(engines)
         queries = sum(engine.calls for engine in engines)
         assert muses == 64
-        assert queries / muses <= 7.5, queries
+        assert queries / muses <= 6.0, queries
 
     def test_subset_queries_per_mus_on_colourings(self):
         """A count, not a timing. MARCO to the 4th MUS on 16 seeded
         3-colourings of G(12, 0.4) made 1,019 subset queries for 52 MUSes
-        (19.6 per MUS) with plain rotation, and makes 631 (12.1 per MUS)
-        now that rotation from a query's model passes through clauses
-        already critical and the full UNSAT check answers the first seed.
-        The bound is under the first figure."""
+        (19.6 per MUS) with plain rotation, 631 (12.1 per MUS) once
+        rotation from a query's model passes through clauses already
+        critical and the full UNSAT check answers the first seed, and 511
+        (9.83 per MUS) now that grow skips a candidate that completes a
+        MUS already found. The bound is under the second figure."""
         engines = [SatEngine() for _ in range(16)]
         muses = marco_to_fourth_mus(engines, colourings())
         queries = sum(engine.calls for engine in engines)
         assert muses == 52
-        assert queries / muses <= 15.0, queries
+        assert queries / muses <= 10.5, queries
+
+    def test_no_query_holds_a_found_mus(self, monkeypatch):
+        """Grow skips a candidate that completes a MUS the run has found,
+        and no other query can hold one: each map seed is blocked above
+        every found MUS, and shrink queries inside its seed. So no subset
+        query holds a MUS already sent to the sink: on the SR formulas
+        and colourings to the 4th MUS, and on exhausted runs of small
+        formulas. Each run has its own subset solver."""
+        found: list[frozenset[int]] = []
+        holding = []
+        run = [None]
+        query = SubsetSolver.query
+
+        def spy(self, subset, deadline=None):
+            if self is not run[0]:
+                run[0] = self
+                found.clear()
+            subset = set(subset)
+            holding.extend(mus for mus in found if mus <= subset)
+            return query(self, subset, deadline)
+
+        def on_mus(record):
+            found.append(record.clause_indices)
+
+        monkeypatch.setattr(SubsetSolver, "query", spy)
+        assert marco_to_fourth_mus(
+            [None] * 32, sr_formulas() + colourings(), on_mus) == 64 + 52
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            trace = enumerate_marco(random_unsat(rng), 30.0, sink=on_mus)
+            assert trace.exhausted
+        assert holding == []
 
     def test_map_solver_decisions_per_seed(self, monkeypatch):
         """A count, not a timing. On the same runs, the map solver made
         20,286 decisions for 128 seeds (158.5 per seed) when every solve
         started from an empty trail, and 11,769 (91.9 per seed) once a SAT
-        answer's trail stays for the next blocking clause. It makes 11,580
-        (90.5 per seed) now that the full UNSAT check answers each run's
-        first seed, so the map solver is asked 112 times. The bound is
-        2/3 of the first figure."""
+        answer's trail stays for the next blocking clause. It made 11,580
+        (90.5 per seed) once the full UNSAT check answers each run's
+        first seed, so the map solver was asked 112 times. It makes 4,844
+        for 126 seeds (38.4 per seed, 110 map solves) now that a unit
+        blocking clause keeps the trail below its variable's level, and
+        grow, skipping candidates that complete a found MUS, changes the
+        map's course. The bound is under 1/3 of the first figure."""
         decisions = []
 
         class CountingSolver(Solver):
@@ -337,8 +378,8 @@ class TestQueryCount:
 
         monkeypatch.setattr(mus, "Solver", CountingSolver)
         assert marco_to_fourth_mus([None] * 16) == 64
-        assert len(decisions) == 128 - 16
-        assert sum(decisions) / 128 <= 105.0, sum(decisions)
+        assert len(decisions) == 110
+        assert sum(decisions) / (110 + 16) <= 50.0, sum(decisions)
 
 
 class TestLiftMuses:

@@ -101,16 +101,24 @@ def replay(events) -> list[tuple]:
 
 
 def logged_run(monkeypatch, run, drop_literal=False):
-    """``run()``'s result and the event log of each solver it used. With
-    ``drop_literal`` the log holds each learned clause of two or more
-    literals without its first literal, as a faulty engine would."""
+    """``run()``'s result, the event log of each solver it used, and the
+    number of unit clauses added while a solver's trail stood above the
+    root. A clause counts as unit when one literal is left once those
+    fixed at level 0 are dropped. With ``drop_literal`` the log holds each
+    learned clause of two or more literals without its first literal, as
+    a faulty engine would."""
     logs: dict[Solver, list[tuple]] = {}
+    raised_units = 0
     add_clause, analyze, solve = (Solver.add_clause, Solver._analyze,
                                   Solver.solve)
 
     def logged_add_clause(self, lits):
+        nonlocal raised_units
         lits = list(lits)
         logs.setdefault(self, []).append(("clause", lits))
+        live = {q for q in lits
+                if self._assign[abs(q)] == 0 or self._level[abs(q)] > 0}
+        raised_units += len(live) == 1 and bool(self._trail_lim)
         add_clause(self, lits)
 
     def logged_analyze(self, conflict):
@@ -134,7 +142,7 @@ def logged_run(monkeypatch, run, drop_literal=False):
     monkeypatch.setattr(Solver, "solve", logged_solve)
     result = run()
     monkeypatch.undo()
-    return result, list(logs.values())
+    return result, list(logs.values()), raised_units
 
 
 def criterion9_held_out(count):
@@ -155,7 +163,7 @@ def held_out():
 
 class TestProofReplay:
     def test_learned_clauses_and_cores_are_rup(self, monkeypatch, held_out):
-        _, logs = logged_run(
+        _, logs, raised_units = logged_run(
             monkeypatch, lambda: [enumerate_marco(f, 0.3) for f in held_out])
         counts = {"learned": 0, "core": 0}
         for events in logs:
@@ -166,9 +174,11 @@ class TestProofReplay:
         # Map and subset solvers of every run, with work for the check.
         assert len(logs) >= 2 * len(held_out)
         assert counts["learned"] > 500 and counts["core"] > 500, counts
+        # Unit blocking clauses that keep the map solver's trail.
+        assert raised_units >= 1
 
     def test_check_catches_a_dropped_literal(self, monkeypatch, held_out):
-        _, logs = logged_run(
+        _, logs, _ = logged_run(
             monkeypatch,
             lambda: [enumerate_marco(f, 0.1) for f in held_out[:2]],
             drop_literal=True)
@@ -179,7 +189,7 @@ class TestProofReplay:
         # One solver per search; its learned clauses carry across probes.
         cut = 0
         for f in held_out:
-            out, logs = logged_run(
+            out, logs, _ = logged_run(
                 monkeypatch,
                 lambda: variable_frequency_prune(f, 10, SatEngine()))
             assert len(logs) == 1
@@ -197,7 +207,7 @@ class TestProofReplay:
         formulas = criterion9_held_out(30)[20:]
         kept = [set(variable_frequency_prune(f, 10, SatEngine()).index_map)
                 for f in formulas]
-        traces, logs = logged_run(monkeypatch, lambda: [
+        traces, logs, raised_units = logged_run(monkeypatch, lambda: [
             enumerate_marco(f, 0.5, first=first)
             for f, first in zip(formulas, kept)])
         for events in logs:
@@ -207,3 +217,4 @@ class TestProofReplay:
         assert past >= 1
         # A run past its kept set adds the rebuilt map's solver.
         assert len(logs) >= 2 * len(formulas) + past
+        assert raised_units >= 1

@@ -625,7 +625,9 @@ class TestModelUse:
     def test_grow_returns_maximal_satisfiable_subset(self, f, data):
         """Grow from a seed that a drawn model satisfies is satisfiable,
         lies inside its universe, and turns UNSAT with any excluded
-        clause of the universe added."""
+        clause of the universe added. Grow knows up to three MUSes,
+        shrunk from drawn UNSAT subsets, and adds no clause that would
+        complete one without a query."""
         m = f.num_clauses
         universe = sorted(data.draw(st.sets(st.integers(0, m - 1),
                                             min_size=1)))
@@ -634,7 +636,13 @@ class TestModelUse:
                      if not model.isdisjoint(f.clauses[c])]
         seed = data.draw(st.sets(st.sampled_from(satisfied))
                          if satisfied else st.just(set()))
-        grown = _grow_in(SubsetSolver(f), seed, model, universe, None)
+        muses_of: list[list[int]] = [[] for _ in range(m)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            found = shrink(f, unsat_subset(f, data)).clause_indices
+            for j in found:
+                muses_of[j].append(sum(1 << i for i in found))
+        grown = _grow_in(SubsetSolver(f), seed, model, universe, None,
+                         muses_of)
         assert seed <= grown <= set(universe)
         assert truth_table_satisfiable(f.induced(grown))
         for c in set(universe) - grown:

@@ -304,6 +304,65 @@ class TestIncremental:
         assert kept.status == fresh.status == SAT
         assert kept.stats.decisions < fresh.stats.decisions
 
+    def test_unit_clause_keeps_the_trail_below_its_level(self):
+        """A unit clause on a variable assigned at level L > 1 sends the
+        trail back to level L - 1 only, and its literal joins the trail at
+        level 0. The next solve goes on from there and agrees with a fresh
+        solver."""
+        rng = np.random.default_rng(13)
+        f = CnfFormula(40, [[int(v) * int(s) for v, s in zip(
+            rng.choice(40, size=3, replace=False) + 1,
+            rng.integers(0, 2, size=3) * 2 - 1)] for _ in range(100)])
+        solver = Solver(num_vars=f.num_vars)
+        for clause in f.clauses:
+            solver.add_clause(clause)
+        assert solver.solve().status == SAT
+        assert len(solver._trail_lim) > 6
+        lim = list(solver._trail_lim)
+        level = 5
+        unit = -solver._trail[lim[level - 1]]  # against level 5's decision
+        assert solver._level[abs(unit)] == level
+        prefix = solver._trail[:lim[level - 1]]
+        solver.add_clause([unit])
+        assert solver._trail_lim == lim[:level - 1]
+        assert solver._trail == [*prefix, unit]
+        assert solver._level[abs(unit)] == 0
+        kept = solver.solve()
+        fresh = SatEngine().solve(CnfFormula(f.num_vars, [*f.clauses, [unit]]))
+        assert kept.status == fresh.status
+        if kept.status == SAT:
+            assert unit in kept.model
+            assert all(not kept.model.isdisjoint(c) for c in f.clauses)
+
+    @pytest.mark.parametrize("extra, levels, status", [
+        ([], [1, 2, 0, 0], SAT), ([[-1]], [0, 1, 0, 0], UNSAT)],
+        ids=["sat", "unsat"])
+    def test_conflict_below_the_current_level(self, extra, levels, status):
+        """A SAT answer decides -1, -2, -3, -4 in turn. The units 3 and 4
+        then join the trail at level 0 above the decision -2, so together
+        they falsify ``-3 or -4 or 1`` with no literal at the current
+        level. The conflict's highest level is 1, where it is analysed and
+        teaches ``1``. With ``-1`` a clause too, that highest level is 0,
+        so the answer is UNSAT."""
+        clauses = [[-3, -4, 1], *extra]
+        solver = Solver(num_vars=4)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert solver.solve().status == SAT
+        assert solver._trail == [-1, -2, -3, -4]
+        for unit in ([3], [4]):
+            solver.add_clause(unit)
+            clauses.append(unit)
+        assert solver._trail == [-1, -2, 3, 4]
+        assert [solver._level[v] for v in range(1, 5)] == levels
+        result = solver.solve()
+        assert result.status == status
+        assert (status == SAT) == truth_table_satisfiable(
+            CnfFormula(4, clauses))
+        if status == SAT:
+            assert result.model == {1, -2, 3, 4}
+            assert result.stats.conflicts == 1
+
 
 class TestDeterminism:
     def test_identical_runs(self):
