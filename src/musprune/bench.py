@@ -111,6 +111,10 @@ class BenchConfig:
     def __post_init__(self):
         if not self.problems:
             raise ValueError("problem set is empty")
+        if not self.pruners:
+            raise ValueError("pruner list is empty")
+        if not self.budgets:
+            raise ValueError("budget list is empty")
         if self.external_command == "":
             raise ValueError("external enumerator requires a command template")
         if self.external_command is not None:

@@ -63,7 +63,10 @@ def _cmd_generate(args) -> int:
                        var_range=(args.min_vars, args.max_vars),
                        ratio=target.clause_to_variable_ratio,
                        length_histogram=target.clause_length_histogram)
-    paths = emit_corpus(args.out, spec, args.count, seed=args.seed)
+    try:
+        paths = emit_corpus(args.out, spec, args.count, seed=args.seed)
+    except RuntimeError as exc:  # a generator gave up
+        raise CliError(str(exc)) from exc
     print(f"wrote {len(paths)} instances to {args.out}")
     return 0
 

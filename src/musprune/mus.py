@@ -29,9 +29,11 @@ assumption core, or a SAT answer's model. MARCO uses both:
 - MARCO's first seed costs no map solve. Over the whole map it is
   every clause, so it shrinks from the full UNSAT check's core; over a
   pruner's kept set it is that set, queried right after the check.
-- Grow starts from the seed's model and, after every SAT answer, takes
-  in each clause the answer's model satisfies without a query
-  (model-based grow, Marques-Silva et al., IJCAI 2013).
+- Grow holds its set as a clause bitmask. It starts from the clauses
+  the seed's model satisfies and, after every SAT answer, takes in each
+  clause the answer's model satisfies without a query (model-based
+  grow, Marques-Silva et al., IJCAI 2013); both sets are read off the
+  witness masks that the queries stored.
 - Grow also leaves out, without a query, a clause that would complete a
   MUS the run has already found: that set holds the MUS, so it is UNSAT.
   MARCO keeps one bitmask per found MUS, listed under each of its
@@ -85,7 +87,7 @@ class SubsetSolver:
 
     ``witnesses`` holds one ``(mask, model)`` pair per SAT answer, in
     answer order: bit ``j`` of the int ``mask`` is set iff ``model``
-    falsifies clause ``j``. Shrink reads them; nothing else does.
+    falsifies clause ``j``. Shrink and grow read them; nothing else does.
     """
 
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
@@ -263,40 +265,29 @@ def _rotate(solver: SubsetSolver, c: int, model: set[int],
             model.add(-lit)
 
 
-def _grow_in(solver: SubsetSolver, seed: set[int], model: set[int],
-             universe, deadline: float | None,
-             muses_of: list[list[int]]) -> set[int]:
-    """Grow a satisfiable seed to a maximal satisfiable subset of the
-    ascending clause indices ``universe``; ``model`` satisfies the seed.
+def _grow_in(solver: SubsetSolver, falsified: int, universe,
+             deadline: float | None, muses_of: list[list[int]]) -> int:
+    """Grow to a maximal satisfiable subset of the ascending clause
+    indices ``universe``, returned as a bitmask.
 
-    Model-based grow (Marques-Silva et al., IJCAI 2013): every clause of
-    the universe that the latest model satisfies joins without a query,
-    and a clause is queried only when no model so far satisfied it.
-    ``muses_of[c]`` lists the bitmasks of the MUSes found so far that
-    hold clause ``c``. A clause that would complete one of them makes the
-    set UNSAT, so it stays out without a query.
+    Model-based grow (Marques-Silva et al., IJCAI 2013): the set starts
+    as the universe less ``falsified``, the witness mask of a model, and
+    each SAT answer adds the universe less its stored witness mask, so a
+    clause is queried only when no model so far satisfied it. A clause
+    that would complete a found MUS (``muses_of[c]`` lists the masks of
+    those holding ``c``) makes the set UNSAT, so it stays out unasked.
     """
-    clauses = solver.clauses
-    current = set(seed)
-    bits = sum(1 << j for j in current)
-
-    def absorb(model):
-        nonlocal bits
-        for d in universe:
-            if d not in current and not model.isdisjoint(clauses[d]):
-                current.add(d)
-                bits |= 1 << d
-
-    absorb(model)
+    in_play = sum(1 << j for j in universe)
+    bits = in_play & ~falsified
     for c in universe:
-        if c not in current:
-            with_c = bits | 1 << c
-            if any(mask | with_c == with_c for mask in muses_of[c]):
-                continue
-            core, model = solver.query(current | {c}, deadline)
-            if core is None:
-                absorb(model)
-    return current
+        with_c = bits | 1 << c
+        if with_c == bits or any(mask | with_c == with_c
+                                 for mask in muses_of[c]):
+            continue
+        subset = [j for j in universe if with_c >> j & 1]
+        if solver.query(subset, deadline)[0] is None:
+            bits |= in_play & ~solver.witnesses[-1][0]
+    return bits
 
 
 def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
@@ -343,18 +334,17 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     muses_of: list[list[int]] = [[] for _ in range(m)]
     trace = EnumerationTrace()
     try:
-        core, model = solver.query(range(m), deadline)
+        core = solver.query(range(m), deadline)[0]
         if core is None:
             raise ValueError("formula is satisfiable; it has no MUS")
-        seed = universe
         if len(universe) < m:
-            core, model = solver.query(seed, deadline)
+            core = solver.query(universe, deadline)[0]
         while True:
             trace.seeds_tested += 1
             if core is None:
-                mss = _grow_in(solver, seed, model, universe, deadline,
-                               muses_of)
-                block = [-(j + 1) for j in range(m) if j not in mss]
+                mss = _grow_in(solver, solver.witnesses[-1][0], universe,
+                               deadline, muses_of)
+                block = [-(j + 1) for j in range(m) if not mss >> j & 1]
             else:
                 mus_set = _shrink_in(solver, core, deadline)
                 record = MusRecord(frozenset(mus_set))
@@ -382,8 +372,8 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
             if result.status != SAT:
                 trace.exhausted = result.status == UNSAT
                 break
-            seed = {j for j in range(m) if -(j + 1) in result.model}
-            core, model = solver.query(seed, deadline)
+            seed = [j for j in range(m) if -(j + 1) in result.model]
+            core = solver.query(seed, deadline)[0]
     except _DeadlinePassed:
         pass
     return trace

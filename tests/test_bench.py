@@ -267,6 +267,14 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="empty"):
             BenchConfig(problems=())
 
+    @pytest.mark.parametrize("field,message", [
+        ("pruners", "pruner list is empty"),
+        ("budgets", "budget list is empty")])
+    def test_empty_pruners_or_budgets_rejected(self, field, message):
+        with pytest.raises(ValueError) as info:
+            BenchConfig(problems=("a.cnf",), **{field: ()})
+        assert str(info.value) == message
+
     def test_negative_audit_sample_rejected(self):
         with pytest.raises(ValueError) as info:
             BenchConfig(problems=("a.cnf",), audit_sample=-1)

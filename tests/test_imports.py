@@ -1,4 +1,5 @@
-"""Package modules use each other only through public names.
+"""Package modules use each other only through public names, and the
+package's count of settable values is pinned.
 
 A private (``_``-prefixed) name is its module's own business; a module
 that needs one from another module should get a public entry point
@@ -35,3 +36,38 @@ def test_no_module_imports_a_private_name():
     assert len(paths) >= 10
     offenders = {os.path.basename(p): private_imports(p) for p in paths}
     assert {f: v for f, v in offenders.items() if v} == {}
+
+
+# A change that adds or removes a settable value updates this constant
+# and says why.
+SETTABLE_VALUES = 93
+
+
+def is_dataclass(node):
+    """True iff the class is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def settable_values(path):
+    """The settable values of one source file: every parameter with a
+    default, positional or keyword-only, of a function, method or lambda
+    (private ones included), plus every field with a default in a class
+    decorated ``@dataclass``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            count += sum(isinstance(stmt, ast.AnnAssign)
+                         and stmt.value is not None for stmt in node.body)
+    return count
+
+
+def test_settable_value_count_is_pinned():
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    assert sum(settable_values(p) for p in paths) == SETTABLE_VALUES

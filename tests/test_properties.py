@@ -623,30 +623,52 @@ class TestModelUse:
     @SETTINGS
     @given(noisy_unsat(), st.data())
     def test_grow_returns_maximal_satisfiable_subset(self, f, data):
-        """Grow from a seed that a drawn model satisfies is satisfiable,
+        """Grow from a drawn model's falsified-clause mask holds every
+        clause of its universe that the model satisfies, is satisfiable,
         lies inside its universe, and turns UNSAT with any excluded
-        clause of the universe added. Grow knows up to three MUSes,
-        shrunk from drawn UNSAT subsets, and adds no clause that would
-        complete one without a query."""
+        clause of the universe added. Each query adds one candidate to
+        the clauses the models so far satisfy, never one the starting
+        model satisfies. Grow knows up to three MUSes, shrunk from drawn
+        UNSAT subsets, and adds no clause that would complete one without
+        a query."""
         m = f.num_clauses
         universe = sorted(data.draw(st.sets(st.integers(0, m - 1),
                                             min_size=1)))
         model = data.draw(st.sampled_from(list(assignments(f.num_vars))))
-        satisfied = [c for c in universe
-                     if not model.isdisjoint(f.clauses[c])]
-        seed = data.draw(st.sets(st.sampled_from(satisfied))
-                         if satisfied else st.just(set()))
+        falsified = sum(1 << j for j, clause in enumerate(f.clauses)
+                        if model.isdisjoint(clause))
+        satisfied = {c for c in universe
+                     if not model.isdisjoint(f.clauses[c])}
         muses_of: list[list[int]] = [[] for _ in range(m)]
         for _ in range(data.draw(st.integers(0, 3))):
             found = shrink(f, unsat_subset(f, data)).clause_indices
             for j in found:
                 muses_of[j].append(sum(1 << i for i in found))
-        grown = _grow_in(SubsetSolver(f), seed, model, universe, None,
-                         muses_of)
-        assert seed <= grown <= set(universe)
+        solver = SubsetSolver(f)
+        queries = []
+        real_query = solver.query
+
+        def recording_query(subset, deadline=None):
+            core, answer = real_query(subset, deadline)
+            queries.append((set(subset), answer))
+            return core, answer
+
+        solver.query = recording_query
+        mask = _grow_in(solver, falsified, universe, None, muses_of)
+        grown = {j for j in range(m) if mask >> j & 1}
+        assert satisfied <= grown <= set(universe)
         assert truth_table_satisfiable(f.induced(grown))
         for c in set(universe) - grown:
             assert not truth_table_satisfiable(f.induced(grown | {c}))
+        known = set(satisfied)
+        for subset, answer in queries:
+            (c,) = subset - known
+            assert subset == known | {c}
+            assert c not in satisfied
+            if answer is not None:
+                known |= {d for d in universe
+                          if not answer.isdisjoint(f.clauses[d])}
+        assert known == grown
 
     @SETTINGS
     @given(noisy_unsat(), st.data())
