@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,21 +27,23 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __init__(self, num_vars, clauses):
-        object.__setattr__(self, "num_vars", int(num_vars))
+        n = int(num_vars)
+        object.__setattr__(self, "num_vars", n)
         object.__setattr__(
-            self, "clauses", tuple(tuple(int(l) for l in c) for c in clauses)
-        )
-        if self.num_vars < 0:
+            self, "clauses", tuple([tuple(map(int, c)) for c in clauses]))
+        if n < 0:
             raise ValueError("num_vars must be nonnegative")
-        for j, clause in enumerate(self.clauses):
-            for lit in clause:
-                if lit == 0:
-                    raise ValueError(f"clause {j}: literal 0 is not allowed")
-                if abs(lit) > self.num_vars:
-                    raise ValueError(
-                        f"clause {j}: literal {lit} exceeds variable count "
-                        f"{self.num_vars}"
-                    )
+        lits = set(chain.from_iterable(self.clauses))
+        if lits and (0 in lits or max(lits) > n or min(lits) < -n):
+            for j, clause in enumerate(self.clauses):  # name the first one
+                for lit in clause:
+                    if lit == 0:
+                        raise ValueError(
+                            f"clause {j}: literal 0 is not allowed")
+                    if abs(lit) > n:
+                        raise ValueError(
+                            f"clause {j}: literal {lit} exceeds variable "
+                            f"count {n}")
 
     @property
     def num_clauses(self) -> int:

@@ -189,19 +189,16 @@ def coloring_encoding(n_nodes: int, edges, n_colors: int) -> CnfFormula:
     at-most-one clauses; per edge K same-color bans. Variable (v, c) is
     (v-1)*K + c for v in 1..n, c in 1..K."""
     k = n_colors
-
-    def var(v: int, c: int) -> int:
-        return (v - 1) * k + c
-
-    clauses: list[list[int]] = []
-    for v in range(1, n_nodes + 1):
-        clauses.append([var(v, c) for c in range(1, k + 1)])
-        for c1 in range(1, k + 1):
-            for c2 in range(c1 + 1, k + 1):
-                clauses.append([-var(v, c1), -var(v, c2)])
+    clauses: list[tuple[int, ...]] = []
+    for base in range(0, n_nodes * k, k):  # variable (v, c) is base + c
+        colors = range(base + 1, base + k + 1)
+        clauses.append(tuple(colors))
+        clauses += [(-a, -b) for a in colors
+                    for b in range(a + 1, colors.stop)]
     for (u, v) in edges:
-        for c in range(1, k + 1):
-            clauses.append([-var(u, c), -var(v, c)])
+        shift = (v - u) * k
+        clauses += [(-a, -a - shift)
+                    for a in range((u - 1) * k + 1, u * k + 1)]
     return CnfFormula(n_nodes * k, clauses)
 
 
@@ -252,31 +249,35 @@ def emit_corpus(out_dir, spec: GenSpec, count: int, seed=0) -> list[str]:
     """Write ``count`` DIMACS instances plus a JSON-lines manifest.
 
     Per-instance seeds derive from the corpus seed by counter, so any
-    instance can be regenerated independently.
+    instance can be regenerated independently. Nothing is written, and
+    ``out_dir`` is not created, until every instance is generated, so a
+    generator that gives up leaves no output behind.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     engine = SatEngine()
+    texts, records = [], []
+    for i in range(count):
+        instance_seed = np.random.SeedSequence(entropy=(seed, i))
+        calls_before = engine.calls
+        formula = generate(spec, seed=instance_seed, engine=engine)
+        texts.append(write_dimacs(formula))
+        records.append({
+            "file": f"{i:05d}.cnf",
+            "spec": spec.to_dict(),
+            "seed": [seed, i],
+            "num_vars": formula.num_vars,
+            "num_clauses": formula.num_clauses,
+            "sat_calls": engine.calls - calls_before,
+        })
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    with open(manifest_path, "w") as manifest:
-        for i in range(count):
-            instance_seed = np.random.SeedSequence(entropy=(seed, i))
-            calls_before = engine.calls
-            formula = generate(spec, seed=instance_seed, engine=engine)
-            name = f"{i:05d}.cnf"
-            path = os.path.join(out_dir, name)
-            with open(path, "w") as fh:
-                fh.write(write_dimacs(formula))
-            record = {
-                "file": name,
-                "spec": spec.to_dict(),
-                "seed": [seed, i],
-                "num_vars": formula.num_vars,
-                "num_clauses": formula.num_clauses,
-                "sat_calls": engine.calls - calls_before,
-            }
-            manifest.write(json.dumps(record, sort_keys=True) + "\n")
-            paths.append(path)
+    for text, record in zip(texts, records):
+        path = os.path.join(out_dir, record["file"])
+        with open(path, "w") as fh:
+            fh.write(text)
+        paths.append(path)
+    with open(os.path.join(out_dir, "manifest.jsonl"), "w") as manifest:
+        manifest.writelines(json.dumps(record, sort_keys=True) + "\n"
+                            for record in records)
     return paths

@@ -78,12 +78,16 @@ class _DeadlinePassed(Exception):
 class SubsetSolver:
     """Incremental subset-satisfiability queries via one selector per clause.
 
-    Each clause is added as a guarded clause; assuming its selector
-    activates it. The solver never branches on a selector, so a selector
-    not assumed stays unassigned unless propagated false, and the clauses
+    The clauses go in as guarded clauses, in one bulk load
+    (``Solver._load``: a clause of distinct literals is attached inline,
+    any other takes ``add_clause``'s steps). Clause ``j``'s selector is
+    the ``j``-th variable after the formula's; assuming it activates the
+    clause. The solver never branches on a selector, so a selector not
+    assumed stays unassigned unless propagated false, and the clauses
     outside the subset cost no decisions. The assumption core of an UNSAT
-    answer maps back to the clauses it activates. ``occurs`` maps each
-    literal to the clauses that hold it, for model rotation.
+    answer maps back to clause indices by subtracting the first selector.
+    ``occurs`` maps each literal to the clauses that hold it, for model
+    rotation.
 
     ``witnesses`` holds one ``(mask, model)`` pair per SAT answer, in
     answer order: bit ``j`` of the int ``mask`` is set iff ``model``
@@ -93,19 +97,25 @@ class SubsetSolver:
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
         engine = engine if engine is not None else SatEngine()
         self.clauses = formula.clauses
-        self._session = engine.session(formula.num_vars)
-        self._selectors = [self._session.add_guarded_clause(clause)
-                           for clause in formula.clauses]
-        self._clause_of = {s: j for j, s in enumerate(self._selectors)}
+        m = len(formula.clauses)
+        self._session = engine.session(0)
+        self._session._load(formula.num_vars, formula.clauses, True)
+        self._first = formula.num_vars + 1  # clause j's selector is _first + j
         self._selector_literals = frozenset(
-            lit for s in self._selectors for lit in (s, -s))
-        self.occurs: dict[int, list[int]] = {}
+            [*range(self._first, self._first + m),
+             *range(1 - self._first - m, 1 - self._first)])
+        occurs: dict[int, list[int]] = {}
         for j, clause in enumerate(formula.clauses):
-            for lit in dict.fromkeys(clause):
-                self.occurs.setdefault(lit, []).append(j)
-        self._satisfied_by = {lit: sum(1 << j for j in js)
-                              for lit, js in self.occurs.items()}
-        self._all = (1 << len(formula.clauses)) - 1
+            for lit in set(clause):
+                occurs.setdefault(lit, []).append(j)
+        self.occurs = occurs
+        self._satisfied_by: dict[int, int] = {}
+        for lit, js in occurs.items():
+            bits = 0
+            for j in js:
+                bits |= 1 << j
+            self._satisfied_by[lit] = bits
+        self._all = (1 << m) - 1
         self.witnesses: list[tuple[int, set[int]]] = []
 
     def query(self, subset, deadline: float | None = None
@@ -119,7 +129,8 @@ class SubsetSolver:
         """
         if deadline is not None and time.perf_counter() >= deadline:
             raise _DeadlinePassed("deadline passed")
-        assumptions = [self._selectors[j] for j in sorted(subset)]
+        first = self._first
+        assumptions = [first + j for j in sorted(subset)]
         result = self._session.solve(assumptions, deadline)
         if result.status == UNKNOWN:
             raise _DeadlinePassed("deadline passed")
@@ -132,7 +143,7 @@ class SubsetSolver:
             return None, model
         if result.core is None:
             raise AssertionError("internal: UNSAT subset answer without a core")
-        return {self._clause_of[s] for s in result.core}, None
+        return {s - first for s in result.core}, None
 
 
 def _check_indices(formula: CnfFormula, subset) -> frozenset[int]:

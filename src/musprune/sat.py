@@ -15,6 +15,16 @@ variable is assigned at a propagation fixpoint. A SAT answer's model is
 the set of true literals, one per variable; an unassigned selector
 appears negated, which is sound because selectors occur only negatively.
 
+A fresh solver can take a whole formula in one bulk load (``_load``),
+which ``SatEngine.solve`` and ``mus.SubsetSolver`` use: the variables
+are made in one pass, and while nothing is assigned, a clause of two or
+more distinct in-range variables is recorded and watched on its first
+two literals inline, at the root, as MiniSat attaches a problem clause
+(Een & Sorensson, SAT 2003). Every other clause (empty, unit, with a
+repeated or complementary literal or one out of range, or added once
+something is assigned) takes ``add_clause``'s own steps. The engine is
+left exactly as adding the clauses one at a time leaves it.
+
 Supports assumption literals (forced true for one query), incremental
 clause addition, and a per-query wall-clock deadline, whose passing is
 reported as UNKNOWN, distinct from SAT/UNSAT. All assumptions share
@@ -40,6 +50,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .cnf import CnfFormula
 
@@ -112,8 +123,7 @@ class Solver:
         self._var_decay = 1.0 / 0.95
         self._recorded: list[tuple[int, ...]] = []
         self.stats = SolveStats()
-        for _ in range(num_vars):
-            self.add_variable()
+        self._load(num_vars, (), False)
 
     # ------------------------------------------------------------------
     # construction
@@ -162,18 +172,31 @@ class Solver:
         trail stands. An empty clause goes to the root. At the root this
         is plain root-level simplification.
         """
+        clause = self._merged(lits, self.num_vars)
+        if clause is not None:
+            self._add_merged(clause)
+
+    @staticmethod
+    def _merged(lits, num_vars: int) -> list[int] | None:
+        """``lits`` as ints with repeats merged, or None for a tautology,
+        which is always satisfied. Raises ValueError at the first literal
+        outside variables 1..num_vars that comes before any tautology."""
         seen = set()
         clause = []
         for lit in lits:
             lit = int(lit)
             v = abs(lit)
-            if lit == 0 or v > self.num_vars:
+            if lit == 0 or v > num_vars:
                 raise ValueError(f"literal {lit} out of range")
             if -lit in seen:
-                return  # tautology, always satisfied
+                return None
             if lit not in seen:
                 seen.add(lit)
                 clause.append(lit)
+        return clause
+
+    def _add_merged(self, clause: list[int]) -> None:
+        """``add_clause`` for a clause ``_merged`` returned."""
         self._recorded.append(tuple(clause))
         if not self.ok:
             return
@@ -213,6 +236,56 @@ class Solver:
             i1 = i0
         kept[1], kept[i1] = kept[i1], kept[1]
         self._attach(kept)
+
+    def _load(self, num_vars: int, clauses, guarded: bool) -> None:
+        """Give a solver with no variables ``num_vars`` variables, then add
+        ``clauses`` in order, each as ``add_clause`` adds it or, when
+        ``guarded``, as ``add_guarded_clause`` does: clause ``j`` gets the
+        selector ``num_vars + 1 + j``. ``clauses`` hold Python ints, as a
+        ``CnfFormula``'s do.
+
+        The same work in bulk. The variables are made in one pass, and a
+        selector gets no heap entry, as it is never decided. If every
+        literal names a variable of 1..num_vars (one check per load), then
+        while nothing is assigned, a clause of two or more distinct
+        variables, its selector included, is recorded and watched on its
+        first two literals inline, which is what ``add_clause`` does with
+        it. Every other clause takes ``add_clause``'s own steps, with its
+        literals checked against ``num_vars``, so a formula literal never
+        names a selector.
+        """
+        selectors = len(clauses) if guarded else 0
+        total = num_vars + selectors
+        self.num_vars = total
+        self._assign += [0] * total
+        self._level += [0] * total
+        self._reason += [None] * total
+        self._phase += [False] * total
+        self._activity += [0.0] * total
+        self._decision += [True] * num_vars + [False] * selectors
+        self._heap += [(-0.0, v) for v in range(1, num_vars + 1)]
+        self._watches += [[] for _ in range(2 * total)]
+        recorded, watches, trail = self._recorded, self._watches, self._trail
+        used = set(chain.from_iterable(clauses))
+        in_range = not used or (0 not in used and max(used) <= num_vars
+                                and -min(used) <= num_vars)
+        guard = -num_vars  # clause j's guard is -(num_vars + 1 + j)
+        for clause in clauses:
+            if guarded:
+                guard -= 1
+                lits = [*clause, guard]
+            else:
+                lits = list(clause)
+            if (in_range and len(set(map(abs, clause))) == len(clause)
+                    and len(lits) > 1 and not trail and self.ok):
+                recorded.append(tuple(lits))
+                a, b = lits[0], lits[1]
+                watches[(a << 1) if a > 0 else ((-a) << 1) | 1].append(lits)
+                watches[(b << 1) if b > 0 else ((-b) << 1) | 1].append(lits)
+                continue
+            merged = self._merged(clause, num_vars)
+            if merged is not None:
+                self._add_merged(merged + [guard] if guarded else merged)
 
     def _attach(self, clause: list[int]) -> None:
         self._watches[self._code(clause[0])].append(clause)
@@ -530,10 +603,12 @@ class SatEngine:
         self.calls = 0
 
     def solve(self, formula: CnfFormula, assumptions=()) -> SatResult:
+        """Solve ``formula`` under ``assumptions`` with a fresh solver that
+        takes the formula in one bulk load (see ``Solver._load``; a clause
+        it cannot attach inline goes through ``add_clause``'s steps)."""
         self.calls += 1
-        solver = Solver(num_vars=formula.num_vars)
-        for clause in formula.clauses:
-            solver.add_clause(clause)
+        solver = Solver()
+        solver._load(formula.num_vars, formula.clauses, False)
         return solver.solve(assumptions)
 
     def is_satisfiable(self, formula: CnfFormula) -> bool:

@@ -267,14 +267,16 @@ class TestGenerate:
 
     def test_generator_that_gives_up_is_an_error(self, tmp_path, capsys):
         """Three nodes never need six colours, so every colouring drawn is
-        SAT and the generator gives up."""
+        SAT and the generator gives up, leaving no output."""
+        out = tmp_path / "corpus"
         assert main(["generate", "--variant", "graph_coloring", "--count", "2",
                      "--min-nodes", "3", "--max-nodes", "3",
                      "--min-colors", "6", "--max-colors", "6",
-                     "--out", str(tmp_path / "corpus")]) == 1
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: no UNSAT coloring instance found")
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_stat_matched_corpus(self, tmp_path):
         out = tmp_path / "corpus"

@@ -145,6 +145,23 @@ class TestCnfFormula:
         with pytest.raises(ValueError):
             CnfFormula(1, [[2]])
 
+    @pytest.mark.parametrize("clauses, message", [
+        ([[1, -2], [2, 0, 3]], "clause 1: literal 0 is not allowed"),
+        ([[1], [-1, 2], [2, 3, 0]],
+         "clause 2: literal 3 exceeds variable count 2"),
+        ([[1, 2], [-2], [1, -3, 0]],
+         "clause 2: literal -3 exceeds variable count 2"),
+    ])
+    def test_names_the_first_offending_literal(self, clauses, message):
+        with pytest.raises(ValueError) as info:
+            CnfFormula(2, clauses)
+        assert str(info.value) == message
+
+    def test_numpy_integer_literals_become_ints(self):
+        f = CnfFormula(np.int64(3), [np.array([1, -3]), (np.int64(2),)])
+        assert f.num_vars == 3 and f.clauses == ((1, -3), (2,))
+        assert all(type(lit) is int for c in f.clauses for lit in c)
+
     def test_induced(self):
         f = CnfFormula(2, [[1], [-1], [1, 2]])
         assert f.induced([2, 0]).clauses == ((1,), (1, 2))

@@ -161,6 +161,16 @@ class TestGraphColoring:
         assert f.num_clauses == 12  # 3 ALO + 3 AMO + 6 edge bans
         assert not truth_table_satisfiable(f)
 
+    def test_exact_clauses(self):
+        f = coloring_encoding(3, [(1, 3), (2, 3)], 3)
+        assert f.num_vars == 9
+        assert f.clauses == (
+            (1, 2, 3), (-1, -2), (-1, -3), (-2, -3),
+            (4, 5, 6), (-4, -5), (-4, -6), (-5, -6),
+            (7, 8, 9), (-7, -8), (-7, -9), (-8, -9),
+            (-1, -7), (-2, -8), (-3, -9),
+            (-4, -7), (-5, -8), (-6, -9))
+
     def test_clause_count_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -267,6 +277,36 @@ class TestEmitCorpus:
         emit_corpus(b, spec, 3, seed=7)
         for name in os.listdir(a):
             assert open(a / name, "rb").read() == open(b / name, "rb").read()
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_generator_error_leaves_no_output(self, tmp_path, monkeypatch,
+                                              existed):
+        """The second instance's generator gives up: no instance file and
+        no manifest is left, a directory the call would have made is
+        absent, and an existing one keeps exactly its own files."""
+        out = tmp_path / "corpus"
+        if existed:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept")
+            (out / "manifest.jsonl").write_text("old\n")
+        generate, calls = generators.generate, []
+
+        def second_gives_up(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("gave up")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(generators, "generate", second_gives_up)
+        spec = GenSpec(variant="sr_random", var_range=(5, 8))
+        with pytest.raises(RuntimeError, match="gave up"):
+            emit_corpus(out, spec, 3, seed=3)
+        assert len(calls) == 2
+        if existed:
+            assert sorted(os.listdir(out)) == ["manifest.jsonl", "notes.txt"]
+            assert (out / "manifest.jsonl").read_text() == "old\n"
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_checked_before_output(self, tmp_path, count):

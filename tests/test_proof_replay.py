@@ -4,11 +4,12 @@ Every clause the engine learns must be implied by unit propagation from
 the clauses it had before (reverse unit propagation: Goldberg & Novikov,
 DATE 2003; the check DRAT-trim makes), and the assumptions of every core
 must propagate to a conflict. The log is taken by wrapping
-``Solver.add_clause``, ``Solver._analyze`` and ``Solver.solve`` for the
-solvers of MARCO runs, map and subset solvers both, whole runs and runs
-inside a pruner's kept set first, and for the subset solver of the
-threshold search, and replayed by a small checker that
-shares no code with the engine.
+``Solver.add_clause``, the bulk load ``Solver._load`` (whose clauses are
+logged as the engine records them, a guarded clause with its selector),
+``Solver._analyze`` and ``Solver.solve`` for the solvers of MARCO runs,
+map and subset solvers both, whole runs and runs inside a pruner's kept
+set first, and for the subset solver of the threshold search, and
+replayed by a small checker that shares no code with the engine.
 """
 
 import numpy as np
@@ -100,17 +101,18 @@ def replay(events) -> list[tuple]:
     return failed
 
 
-def logged_run(monkeypatch, run, drop_literal=False):
+def logged_run(monkeypatch, run, drop_literal=False, drop_loaded=False):
     """``run()``'s result, the event log of each solver it used, and the
     number of unit clauses added while a solver's trail stood above the
     root. A clause counts as unit when one literal is left once those
     fixed at level 0 are dropped. With ``drop_literal`` the log holds each
-    learned clause of two or more literals without its first literal, as
-    a faulty engine would."""
+    learned clause of two or more literals without its first literal, and
+    with ``drop_loaded`` each bulk load's clauses without its first
+    clause, as a faulty engine would."""
     logs: dict[Solver, list[tuple]] = {}
     raised_units = 0
-    add_clause, analyze, solve = (Solver.add_clause, Solver._analyze,
-                                  Solver.solve)
+    add_clause, load, analyze, solve = (Solver.add_clause, Solver._load,
+                                        Solver._analyze, Solver.solve)
 
     def logged_add_clause(self, lits):
         nonlocal raised_units
@@ -120,6 +122,14 @@ def logged_run(monkeypatch, run, drop_literal=False):
                 if self._assign[abs(q)] == 0 or self._level[abs(q)] > 0}
         raised_units += len(live) == 1 and bool(self._trail_lim)
         add_clause(self, lits)
+
+    def logged_load(self, num_vars, clauses, guarded):
+        before = len(self._recorded)
+        load(self, num_vars, clauses, guarded)
+        loaded = self._recorded[before:]
+        if drop_loaded:
+            loaded = loaded[1:]
+        logs.setdefault(self, []).extend(("clause", list(c)) for c in loaded)
 
     def logged_analyze(self, conflict):
         learned, level = analyze(self, conflict)
@@ -138,6 +148,7 @@ def logged_run(monkeypatch, run, drop_literal=False):
         return result
 
     monkeypatch.setattr(Solver, "add_clause", logged_add_clause)
+    monkeypatch.setattr(Solver, "_load", logged_load)
     monkeypatch.setattr(Solver, "_analyze", logged_analyze)
     monkeypatch.setattr(Solver, "solve", logged_solve)
     result = run()
@@ -184,6 +195,14 @@ class TestProofReplay:
             drop_literal=True)
         failed = [e for events in logs for e in replay(events)]
         assert any(kind == "learned" for kind, _ in failed)
+
+    def test_check_catches_a_dropped_loaded_clause(self, monkeypatch,
+                                                   held_out):
+        _, logs, _ = logged_run(
+            monkeypatch,
+            lambda: [enumerate_marco(f, 0.1) for f in held_out[:2]],
+            drop_loaded=True)
+        assert any(replay(events) for events in logs)
 
     def test_threshold_search_is_rup(self, monkeypatch, held_out):
         # One solver per search; its learned clauses carry across probes.

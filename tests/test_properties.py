@@ -403,6 +403,94 @@ class TestNonDecisionSelectors:
 
 
 @st.composite
+def bulk_loads(draw):
+    """``(num_vars, clauses)``: a noisy UNSAT formula's clauses (with
+    tautologies and repeats) with unit and empty clauses spliced in, and
+    sometimes one literal 0 or out of range put into a drawn clause. An
+    out-of-range literal lies past every selector a guarded load makes
+    too, since ``add_guarded_clause`` checks a formula literal against a
+    count that includes the selectors made so far."""
+    f = draw(noisy_unsat())
+    n = f.num_vars
+    clauses = [list(c) for c in f.clauses]
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    for _ in range(draw(st.integers(0, 3))):
+        clause = draw(st.sampled_from([[], [draw(literal)]]))
+        clauses.insert(draw(st.integers(0, len(clauses))), clause)
+    if draw(st.booleans()):
+        far = n + len(clauses) + 1
+        clause = draw(st.sampled_from(clauses))
+        clause.insert(draw(st.integers(0, len(clause))),
+                      draw(st.sampled_from([0, far, -far])))
+    return n, clauses
+
+
+def per_clause_load(n, clauses, guarded):
+    """The solver ``Solver._load`` must equal, built a clause at a time;
+    or the ValueError it raised."""
+    solver = Solver(num_vars=n)
+    try:
+        for clause in clauses:
+            if guarded:
+                solver.add_guarded_clause(clause)
+            else:
+                solver.add_clause(clause)
+    except ValueError as exc:
+        return str(exc)
+    return solver
+
+
+def bulk_load(n, clauses, guarded):
+    solver = Solver()
+    try:
+        solver._load(n, clauses, guarded)
+    except ValueError as exc:
+        return str(exc)
+    return solver
+
+
+def engine_state(solver):
+    return (solver.num_vars, solver.ok, solver._recorded, solver._watches,
+            solver._trail, solver._trail_lim, solver._assign, solver._level,
+            solver._decision)
+
+
+class TestBulkLoad:
+    @SETTINGS
+    @given(bulk_loads(), st.booleans(), st.data())
+    def test_equals_per_clause_loading(self, load, guarded, data):
+        """``Solver._load`` leaves the engine as ``add_clause`` (or
+        ``add_guarded_clause``) per clause does: the same ValueError, or
+        the same recorded clauses, watch lists in order, trail and ``ok``,
+        with only the formula's variables in the decision heap; then the
+        same answers, models, cores and decisions over a drawn sequence
+        of solves."""
+        n, clauses = load
+        bulk = bulk_load(n, clauses, guarded)
+        reference = per_clause_load(n, clauses, guarded)
+        if isinstance(reference, str):
+            assert bulk == reference
+            return
+        assert engine_state(bulk) == engine_state(reference)
+        assert sorted(v for _, v in bulk._heap) == list(range(1, n + 1))
+        variables = n + len(clauses) if guarded else n
+        for _ in range(data.draw(st.integers(1, 4))):
+            assumptions = data.draw(assumption_sets(variables))
+            a, b = bulk.solve(assumptions), reference.solve(assumptions)
+            assert (a.status, a.model, a.core, a.stats) \
+                == (b.status, b.model, b.core, b.stats)
+        assert engine_state(bulk) == engine_state(reference)
+
+    def test_guarded_load_checks_formula_literals_only(self):
+        """Literal 3 of a 2-variable formula names no formula variable.
+        Built a clause at a time it reads as the clause's own selector,
+        made just before, and the clause as a tautology that is dropped;
+        the bulk load rejects it."""
+        assert per_clause_load(2, [[1, 3]], True)._recorded == []
+        assert bulk_load(2, [[1, 3]], True) == "literal 3 out of range"
+
+
+@st.composite
 def trail_clause(draw, num_vars, model):
     """A clause over variables 1..num_vars, in drawn order: a random one,
     a unit, a tautology or one that repeats a literal; and, given the
