@@ -225,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--min-vars", type=int, default=20)
     g.add_argument("--max-vars", type=int, default=40)
-    g.add_argument("--bernoulli-p", type=float, default=0.3)
-    g.add_argument("--geometric-p", type=float, default=0.3)
+    g.add_argument("--bernoulli-p", type=float, default=GenSpec.bernoulli_p)
+    g.add_argument("--geometric-p", type=float, default=GenSpec.geometric_p)
     g.add_argument("--min-nodes", type=int, default=10)
     g.add_argument("--max-nodes", type=int, default=30)
-    g.add_argument("--edge-p", type=float, default=0.8)
+    g.add_argument("--edge-p", type=float, default=GenSpec.edge_p)
     g.add_argument("--min-colors", type=int, default=4)
     g.add_argument("--max-colors", type=int, default=7)
     g.add_argument("--target", help="DIMACS file supplying target statistics")

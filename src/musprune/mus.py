@@ -78,16 +78,14 @@ class _DeadlinePassed(Exception):
 class SubsetSolver:
     """Incremental subset-satisfiability queries via one selector per clause.
 
-    The clauses go in as guarded clauses, in one bulk load
-    (``Solver._load``: a clause of distinct literals is attached inline,
-    any other takes ``add_clause``'s steps). Clause ``j``'s selector is
-    the ``j``-th variable after the formula's; assuming it activates the
-    clause. The solver never branches on a selector, so a selector not
-    assumed stays unassigned unless propagated false, and the clauses
-    outside the subset cost no decisions. The assumption core of an UNSAT
-    answer maps back to clause indices by subtracting the first selector.
-    ``occurs`` maps each literal to the clauses that hold it, for model
-    rotation.
+    The formula goes in as guarded clauses, in one bulk load
+    (``Solver.load``), which returns clause 0's selector; clause ``j``'s
+    is the ``j``-th after it, and assuming it activates the clause. The
+    solver never branches on a selector, so a selector not assumed stays
+    unassigned unless propagated false, and the clauses outside the
+    subset cost no decisions. The assumption core of an UNSAT answer maps
+    back to clause indices by subtracting the first selector. ``occurs``
+    maps each literal to the clauses that hold it, for model rotation.
 
     ``witnesses`` holds one ``(mask, model)`` pair per SAT answer, in
     answer order: bit ``j`` of the int ``mask`` is set iff ``model``
@@ -99,22 +97,19 @@ class SubsetSolver:
         self.clauses = formula.clauses
         m = len(formula.clauses)
         self._session = engine.session(0)
-        self._session._load(formula.num_vars, formula.clauses, True)
-        self._first = formula.num_vars + 1  # clause j's selector is _first + j
+        self._first = self._session.load(formula, True)
         self._selector_literals = frozenset(
             [*range(self._first, self._first + m),
              *range(1 - self._first - m, 1 - self._first)])
         occurs: dict[int, list[int]] = {}
+        satisfied_by: dict[int, int] = {}
         for j, clause in enumerate(formula.clauses):
+            bit = 1 << j
             for lit in set(clause):
                 occurs.setdefault(lit, []).append(j)
+                satisfied_by[lit] = satisfied_by.get(lit, 0) | bit
         self.occurs = occurs
-        self._satisfied_by: dict[int, int] = {}
-        for lit, js in occurs.items():
-            bits = 0
-            for j in js:
-                bits |= 1 << j
-            self._satisfied_by[lit] = bits
+        self._satisfied_by = satisfied_by
         self._all = (1 << m) - 1
         self.witnesses: list[tuple[int, set[int]]] = []
 
@@ -124,13 +119,18 @@ class SubsetSolver:
 
         The core is an UNSAT subset of ``subset``; the model is the set of
         true literals, one per variable of the formula, and is also kept
-        in ``witnesses``. Raises _DeadlinePassed once ``deadline`` (a
+        in ``witnesses``. Raises IndexError for a clause index outside
+        the formula, and _DeadlinePassed once ``deadline`` (a
         ``time.perf_counter()`` value) passes.
         """
         if deadline is not None and time.perf_counter() >= deadline:
             raise _DeadlinePassed("deadline passed")
+        indices = sorted(subset)
+        if indices and (indices[0] < 0 or indices[-1] >= len(self.clauses)):
+            bad = indices[0] if indices[0] < 0 else indices[-1]
+            raise IndexError(f"clause index {bad} out of range")
         first = self._first
-        assumptions = [first + j for j in sorted(subset)]
+        assumptions = [first + j for j in indices]
         result = self._session.solve(assumptions, deadline)
         if result.status == UNKNOWN:
             raise _DeadlinePassed("deadline passed")
@@ -338,9 +338,9 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     # learned clauses short. Every other variable starts at phase False,
     # so its first seed is ``first``. The whole map, built once the
     # restricted one is exhausted, gets the blocking clauses in full.
-    map_solver = Solver(num_vars=m)
-    for j in sorted(set(range(m)) - set(universe)):
-        map_solver.add_clause([j + 1])
+    map_solver = Solver()
+    map_solver.load(CnfFormula(
+        m, [[j + 1] for j in sorted(set(range(m)) - set(universe))]), False)
     blocks: list[list[int]] = []
     muses_of: list[list[int]] = [[] for _ in range(m)]
     trace = EnumerationTrace()
@@ -373,9 +373,8 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
                 break
             result = map_solver.solve(deadline=deadline)
             if result.status == UNSAT and len(universe) < m:
-                map_solver = Solver(num_vars=m)
-                for block in blocks:
-                    map_solver.add_clause(block)
+                map_solver = Solver()
+                map_solver.load(CnfFormula(m, blocks), False)
                 universe = range(m)
                 if time.perf_counter() >= deadline:
                     break

@@ -15,15 +15,16 @@ variable is assigned at a propagation fixpoint. A SAT answer's model is
 the set of true literals, one per variable; an unassigned selector
 appears negated, which is sound because selectors occur only negatively.
 
-A fresh solver can take a whole formula in one bulk load (``_load``),
-which ``SatEngine.solve`` and ``mus.SubsetSolver`` use: the variables
-are made in one pass, and while nothing is assigned, a clause of two or
-more distinct in-range variables is recorded and watched on its first
-two literals inline, at the root, as MiniSat attaches a problem clause
-(Een & Sorensson, SAT 2003). Every other clause (empty, unit, with a
-repeated or complementary literal or one out of range, or added once
-something is assigned) takes ``add_clause``'s own steps. The engine is
-left exactly as adding the clauses one at a time leaves it.
+A solver with no variables takes a whole ``CnfFormula`` in one bulk
+load (``load``), which ``SatEngine.solve``, ``mus.SubsetSolver`` and
+MARCO's map solver use: the formula's variables, and a selector per
+clause when guarded, are made in one step, and while nothing is
+assigned, a clause of two or more distinct variables is recorded and
+watched on its first two literals inline, at the root, as MiniSat
+attaches a problem clause (Een & Sorensson, SAT 2003). Every other
+clause (empty, unit, with a repeated or complementary literal, or added
+once something is assigned) takes ``add_clause``'s own steps. The
+engine is left exactly as adding the clauses one at a time leaves it.
 
 Supports assumption literals (forced true for one query), incremental
 clause addition, and a per-query wall-clock deadline, whose passing is
@@ -50,7 +51,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import chain
 
 from .cnf import CnfFormula
 
@@ -123,23 +123,10 @@ class Solver:
         self._var_decay = 1.0 / 0.95
         self._recorded: list[tuple[int, ...]] = []
         self.stats = SolveStats()
-        self._load(num_vars, (), False)
+        self._new_variables(num_vars, True)
 
     # ------------------------------------------------------------------
     # construction
-
-    def add_variable(self) -> int:
-        self.num_vars += 1
-        self._assign.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        self._phase.append(False)
-        self._activity.append(0.0)
-        self._decision.append(True)
-        heappush(self._heap, (-0.0, self.num_vars))
-        self._watches.append([])
-        self._watches.append([])
-        return self.num_vars
 
     def add_guarded_clause(self, lits) -> int:
         """Add ``lits or not s`` for a fresh selector ``s`` and return ``s``;
@@ -150,11 +137,13 @@ class Solver:
         That completion is sound because ``s`` occurs only negatively: no
         clause, problem or learned, holds ``+s``, and a clause left with
         ``-s`` as its one unassigned literal would already have propagated.
-        Callers keep it so by adding no clause that holds ``+s``.
+        Callers keep it so by adding no clause that holds ``+s``, and a
+        literal of ``lits`` must name a variable made before ``s``.
         """
-        selector = self.add_variable()
-        self._decision[selector] = False
-        self.add_clause([*lits, -selector])
+        clause = self._merged(lits)
+        selector = self._new_variables(1, False)
+        if clause is not None:
+            self._add_merged(clause + [-selector])
         return selector
 
     def add_clause(self, lits) -> None:
@@ -172,15 +161,15 @@ class Solver:
         trail stands. An empty clause goes to the root. At the root this
         is plain root-level simplification.
         """
-        clause = self._merged(lits, self.num_vars)
+        clause = self._merged(lits)
         if clause is not None:
             self._add_merged(clause)
 
-    @staticmethod
-    def _merged(lits, num_vars: int) -> list[int] | None:
+    def _merged(self, lits) -> list[int] | None:
         """``lits`` as ints with repeats merged, or None for a tautology,
         which is always satisfied. Raises ValueError at the first literal
-        outside variables 1..num_vars that comes before any tautology."""
+        that names no variable and comes before any tautology."""
+        num_vars = self.num_vars
         seen = set()
         clause = []
         for lit in lits:
@@ -237,55 +226,63 @@ class Solver:
         kept[1], kept[i1] = kept[i1], kept[1]
         self._attach(kept)
 
-    def _load(self, num_vars: int, clauses, guarded: bool) -> None:
-        """Give a solver with no variables ``num_vars`` variables, then add
-        ``clauses`` in order, each as ``add_clause`` adds it or, when
-        ``guarded``, as ``add_guarded_clause`` does: clause ``j`` gets the
-        selector ``num_vars + 1 + j``. ``clauses`` hold Python ints, as a
-        ``CnfFormula``'s do.
+    def load(self, formula: CnfFormula, guarded: bool) -> int:
+        """Give a solver with no variables ``formula``'s variables and
+        clauses, each clause added as ``add_clause`` adds it or, when
+        ``guarded``, as ``add_guarded_clause`` does, and return the first
+        variable after the formula's: clause ``j``'s selector is that
+        plus ``j``.
 
-        The same work in bulk. The variables are made in one pass, and a
-        selector gets no heap entry, as it is never decided. If every
-        literal names a variable of 1..num_vars (one check per load), then
+        The same work in bulk. The variables are made in one step, and
         while nothing is assigned, a clause of two or more distinct
         variables, its selector included, is recorded and watched on its
         first two literals inline, which is what ``add_clause`` does with
-        it. Every other clause takes ``add_clause``'s own steps, with its
-        literals checked against ``num_vars``, so a formula literal never
-        names a selector.
+        it. Every other clause takes ``add_clause``'s own steps. The
+        formula has checked its literals, so the inline path checks none.
         """
-        selectors = len(clauses) if guarded else 0
-        total = num_vars + selectors
-        self.num_vars = total
-        self._assign += [0] * total
-        self._level += [0] * total
-        self._reason += [None] * total
-        self._phase += [False] * total
-        self._activity += [0.0] * total
-        self._decision += [True] * num_vars + [False] * selectors
-        self._heap += [(-0.0, v) for v in range(1, num_vars + 1)]
-        self._watches += [[] for _ in range(2 * total)]
+        if self.num_vars:
+            raise ValueError("load needs a solver with no variables")
+        n, clauses = formula.num_vars, formula.clauses
+        self._new_variables(n, True)
+        first = self._new_variables(len(clauses) if guarded else 0, False)
         recorded, watches, trail = self._recorded, self._watches, self._trail
-        used = set(chain.from_iterable(clauses))
-        in_range = not used or (0 not in used and max(used) <= num_vars
-                                and -min(used) <= num_vars)
-        guard = -num_vars  # clause j's guard is -(num_vars + 1 + j)
+        guard = -n  # clause j's guard is -(first + j)
         for clause in clauses:
             if guarded:
                 guard -= 1
                 lits = [*clause, guard]
             else:
                 lits = list(clause)
-            if (in_range and len(set(map(abs, clause))) == len(clause)
-                    and len(lits) > 1 and not trail and self.ok):
+            if (len(set(map(abs, clause))) == len(clause) and len(lits) > 1
+                    and not trail and self.ok):
                 recorded.append(tuple(lits))
                 a, b = lits[0], lits[1]
                 watches[(a << 1) if a > 0 else ((-a) << 1) | 1].append(lits)
                 watches[(b << 1) if b > 0 else ((-b) << 1) | 1].append(lits)
                 continue
-            merged = self._merged(clause, num_vars)
+            merged = self._merged(clause)
             if merged is not None:
                 self._add_merged(merged + [guard] if guarded else merged)
+        return first
+
+    def _new_variables(self, count: int, decision: bool) -> int:
+        """Make ``count`` variables and return the first. Decision
+        variables join the order heap; selectors (``decision`` false)
+        are never decided and get no entry."""
+        first = self.num_vars + 1
+        self.num_vars += count
+        self._assign += [0] * count
+        self._level += [0] * count
+        self._reason += [None] * count
+        self._phase += [False] * count
+        self._activity += [0.0] * count
+        self._decision += [decision] * count
+        if decision:
+            # Entries at activity 0 rank after every existing one, so
+            # appending them in variable order keeps the heap ordered.
+            self._heap += [(-0.0, v) for v in range(first, self.num_vars + 1)]
+        self._watches += [[] for _ in range(2 * count)]
+        return first
 
     def _attach(self, clause: list[int]) -> None:
         self._watches[self._code(clause[0])].append(clause)
@@ -604,11 +601,10 @@ class SatEngine:
 
     def solve(self, formula: CnfFormula, assumptions=()) -> SatResult:
         """Solve ``formula`` under ``assumptions`` with a fresh solver that
-        takes the formula in one bulk load (see ``Solver._load``; a clause
-        it cannot attach inline goes through ``add_clause``'s steps)."""
+        takes the formula in one bulk load (``Solver.load``)."""
         self.calls += 1
         solver = Solver()
-        solver._load(formula.num_vars, formula.clauses, False)
+        solver.load(formula, False)
         return solver.solve(assumptions)
 
     def is_satisfiable(self, formula: CnfFormula) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -8,7 +9,7 @@ import pytest
 from musprune import bench, cli
 from musprune.cli import build_parser, main
 from musprune.cnf import CnfFormula, parse_dimacs, write_dimacs
-from musprune.generators import gen_sr_random
+from musprune.generators import GenSpec, gen_sr_random
 from musprune.model import ModelConfig, init_params, save_checkpoint
 from musprune.mus import brute_force_muses, truth_table_satisfiable
 from musprune.pruning import random_prune, variable_frequency_prune
@@ -215,6 +216,12 @@ class TestPrune:
 
 
 class TestGenerate:
+    def test_flag_defaults_equal_field_defaults(self):
+        args = vars(build_parser().parse_args(["generate", "--out", "o"]))
+        defaults = {f.name: f.default for f in dataclasses.fields(GenSpec)}
+        for name in ("bernoulli_p", "geometric_p", "edge_p"):
+            assert args[name] == defaults[name], name
+
     def test_corpus_written(self, tmp_path):
         out = tmp_path / "corpus"
         assert main(["generate", "--variant", "sr_random", "--count", "4",

@@ -120,8 +120,7 @@ def reference_stat_matched(stats, seed):
     committed, clauses = [], []
     while len(clauses) < lower_bound:
         clause = _sample_clause(rng, n, int(rng.choice(lengths, p=probs)))
-        selector = session.add_variable()
-        session.add_clause(clause + [-selector])
+        selector = session.add_guarded_clause(clause)
         if session.model(committed + [selector]) is not None:
             committed.append(selector)
             clauses.append(clause)

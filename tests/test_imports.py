@@ -3,7 +3,8 @@ package's count of settable values is pinned.
 
 A private (``_``-prefixed) name is its module's own business; a module
 that needs one from another module should get a public entry point
-there instead. The source files are parsed, not imported.
+there instead. So is a private attribute its object's: code reads one
+only off ``self`` or ``cls``. The source files are parsed, not imported.
 """
 
 import ast
@@ -35,6 +36,28 @@ def test_no_module_imports_a_private_name():
     paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
     assert len(paths) >= 10
     offenders = {os.path.basename(p): private_imports(p) for p in paths}
+    assert {f: v for f, v in offenders.items() if v} == {}
+
+
+def private_attributes(path):
+    """(line, expression) of each private attribute the file reads off
+    anything but ``self`` or ``cls``; dunders such as ``__init__`` are
+    public protocol."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_private_attributes_are_read_only_off_self():
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    offenders = {os.path.basename(p): private_attributes(p) for p in paths}
     assert {f: v for f, v in offenders.items() if v} == {}
 
 

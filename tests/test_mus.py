@@ -103,6 +103,15 @@ class TestUnsatCore:
         f = CnfFormula(3, [[1], [-1], [2, 3], [-3]])
         assert SubsetSolver(f).query(range(4)) == ({0, 1}, None)
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_the_formula_raises(self, index):
+        """Index -1 would assume formula variable 2, and 3 a literal past
+        the last selector."""
+        solver = SubsetSolver(CnfFormula(2, [[1], [-1], [2]]))
+        with pytest.raises(IndexError, match=f"clause index {index} out"):
+            solver.query({0, index})
+        assert solver.witnesses == []
+
     def test_passed_deadline_raises(self):
         with pytest.raises(_DeadlinePassed):
             SubsetSolver(F1).query({0, 1}, time.perf_counter())

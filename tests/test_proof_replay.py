@@ -4,7 +4,7 @@ Every clause the engine learns must be implied by unit propagation from
 the clauses it had before (reverse unit propagation: Goldberg & Novikov,
 DATE 2003; the check DRAT-trim makes), and the assumptions of every core
 must propagate to a conflict. The log is taken by wrapping
-``Solver.add_clause``, the bulk load ``Solver._load`` (whose clauses are
+``Solver.add_clause``, the bulk load ``Solver.load`` (whose clauses are
 logged as the engine records them, a guarded clause with its selector),
 ``Solver._analyze`` and ``Solver.solve`` for the solvers of MARCO runs,
 map and subset solvers both, whole runs and runs inside a pruner's kept
@@ -111,7 +111,7 @@ def logged_run(monkeypatch, run, drop_literal=False, drop_loaded=False):
     clause, as a faulty engine would."""
     logs: dict[Solver, list[tuple]] = {}
     raised_units = 0
-    add_clause, load, analyze, solve = (Solver.add_clause, Solver._load,
+    add_clause, load, analyze, solve = (Solver.add_clause, Solver.load,
                                         Solver._analyze, Solver.solve)
 
     def logged_add_clause(self, lits):
@@ -123,13 +123,14 @@ def logged_run(monkeypatch, run, drop_literal=False, drop_loaded=False):
         raised_units += len(live) == 1 and bool(self._trail_lim)
         add_clause(self, lits)
 
-    def logged_load(self, num_vars, clauses, guarded):
+    def logged_load(self, formula, guarded):
         before = len(self._recorded)
-        load(self, num_vars, clauses, guarded)
+        first = load(self, formula, guarded)
         loaded = self._recorded[before:]
         if drop_loaded:
             loaded = loaded[1:]
         logs.setdefault(self, []).extend(("clause", list(c)) for c in loaded)
+        return first
 
     def logged_analyze(self, conflict):
         learned, level = analyze(self, conflict)
@@ -148,7 +149,7 @@ def logged_run(monkeypatch, run, drop_literal=False, drop_loaded=False):
         return result
 
     monkeypatch.setattr(Solver, "add_clause", logged_add_clause)
-    monkeypatch.setattr(Solver, "_load", logged_load)
+    monkeypatch.setattr(Solver, "load", logged_load)
     monkeypatch.setattr(Solver, "_analyze", logged_analyze)
     monkeypatch.setattr(Solver, "solve", logged_solve)
     result = run()

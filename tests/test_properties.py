@@ -257,8 +257,8 @@ class TestDecisionHeap:
         when no free decision variable is left; every free decision
         variable has an entry at its current activity, and the heap never
         holds more than 2 * num_vars entries. A low rescale threshold
-        exercises the rebuild after rescaling; a variable added between
-        queries joins the heap. Guarded cases add non-decision
+        exercises the rebuild after rescaling; a selector added between
+        queries stays out of the heap. Guarded cases add non-decision
         selectors, some of them assumed."""
         f, lits, guards, assumed = case
         decide = Solver._decide
@@ -283,9 +283,8 @@ class TestDecisionHeap:
             solver = (make_solver(f) if guards is None
                       else guarded_solver(f, guards, assumed))
             solver.solve(lits + assumed)
-            extra = solver.add_variable()
-            solver.add_clause([extra, -1])
-            solver.solve()
+            extra = solver.add_guarded_clause([-1])
+            solver.solve([extra])
         assert len(solver._heap) <= 2 * solver.num_vars
 
 
@@ -404,90 +403,73 @@ class TestNonDecisionSelectors:
 
 @st.composite
 def bulk_loads(draw):
-    """``(num_vars, clauses)``: a noisy UNSAT formula's clauses (with
-    tautologies and repeats) with unit and empty clauses spliced in, and
-    sometimes one literal 0 or out of range put into a drawn clause. An
-    out-of-range literal lies past every selector a guarded load makes
-    too, since ``add_guarded_clause`` checks a formula literal against a
-    count that includes the selectors made so far."""
+    """A noisy UNSAT formula (with tautologies and repeats) with unit and
+    empty clauses spliced in."""
     f = draw(noisy_unsat())
-    n = f.num_vars
-    clauses = [list(c) for c in f.clauses]
-    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = list(f.clauses)
+    literal = st.integers(1, f.num_vars).flatmap(
+        lambda v: st.sampled_from([v, -v]))
     for _ in range(draw(st.integers(0, 3))):
         clause = draw(st.sampled_from([[], [draw(literal)]]))
         clauses.insert(draw(st.integers(0, len(clauses))), clause)
-    if draw(st.booleans()):
-        far = n + len(clauses) + 1
-        clause = draw(st.sampled_from(clauses))
-        clause.insert(draw(st.integers(0, len(clause))),
-                      draw(st.sampled_from([0, far, -far])))
-    return n, clauses
+    return CnfFormula(f.num_vars, clauses)
 
 
-def per_clause_load(n, clauses, guarded):
-    """The solver ``Solver._load`` must equal, built a clause at a time;
-    or the ValueError it raised."""
-    solver = Solver(num_vars=n)
-    try:
-        for clause in clauses:
-            if guarded:
-                solver.add_guarded_clause(clause)
-            else:
-                solver.add_clause(clause)
-    except ValueError as exc:
-        return str(exc)
-    return solver
-
-
-def bulk_load(n, clauses, guarded):
-    solver = Solver()
-    try:
-        solver._load(n, clauses, guarded)
-    except ValueError as exc:
-        return str(exc)
-    return solver
+def per_clause_load(f, guarded):
+    """The solver ``Solver.load`` must equal, built a clause at a time,
+    and the selectors ``add_guarded_clause`` returned."""
+    solver = Solver(num_vars=f.num_vars)
+    if guarded:
+        return solver, [solver.add_guarded_clause(c) for c in f.clauses]
+    for clause in f.clauses:
+        solver.add_clause(clause)
+    return solver, []
 
 
 def engine_state(solver):
     return (solver.num_vars, solver.ok, solver._recorded, solver._watches,
             solver._trail, solver._trail_lim, solver._assign, solver._level,
-            solver._decision)
+            solver._decision, sorted(solver._heap))
 
 
 class TestBulkLoad:
     @SETTINGS
     @given(bulk_loads(), st.booleans(), st.data())
-    def test_equals_per_clause_loading(self, load, guarded, data):
-        """``Solver._load`` leaves the engine as ``add_clause`` (or
-        ``add_guarded_clause``) per clause does: the same ValueError, or
-        the same recorded clauses, watch lists in order, trail and ``ok``,
-        with only the formula's variables in the decision heap; then the
-        same answers, models, cores and decisions over a drawn sequence
-        of solves."""
-        n, clauses = load
-        bulk = bulk_load(n, clauses, guarded)
-        reference = per_clause_load(n, clauses, guarded)
-        if isinstance(reference, str):
-            assert bulk == reference
-            return
+    def test_equals_per_clause_loading(self, f, guarded, data):
+        """``Solver.load`` leaves the engine as ``add_clause`` (or
+        ``add_guarded_clause``) per clause does: the same recorded
+        clauses, watch lists in order, trail, ``ok`` and decision heap,
+        with clause ``j``'s selector the returned first one plus ``j``;
+        then the same answers, models, cores and decisions over a drawn
+        sequence of solves."""
+        bulk = Solver()
+        first = bulk.load(f, guarded)
+        reference, selectors = per_clause_load(f, guarded)
+        assert first == f.num_vars + 1
+        assert selectors == [first + j for j in range(len(selectors))]
         assert engine_state(bulk) == engine_state(reference)
-        assert sorted(v for _, v in bulk._heap) == list(range(1, n + 1))
-        variables = n + len(clauses) if guarded else n
+        assert sorted(v for _, v in bulk._heap) == list(
+            range(1, f.num_vars + 1))
         for _ in range(data.draw(st.integers(1, 4))):
-            assumptions = data.draw(assumption_sets(variables))
+            assumptions = data.draw(assumption_sets(bulk.num_vars))
             a, b = bulk.solve(assumptions), reference.solve(assumptions)
             assert (a.status, a.model, a.core, a.stats) \
                 == (b.status, b.model, b.core, b.stats)
         assert engine_state(bulk) == engine_state(reference)
 
     def test_guarded_load_checks_formula_literals_only(self):
-        """Literal 3 of a 2-variable formula names no formula variable.
-        Built a clause at a time it reads as the clause's own selector,
-        made just before, and the clause as a tautology that is dropped;
-        the bulk load rejects it."""
-        assert per_clause_load(2, [[1, 3]], True)._recorded == []
-        assert bulk_load(2, [[1, 3]], True) == "literal 3 out of range"
+        """Literal 3 of a 2-variable formula names no formula variable,
+        only the selector a guarded clause would get; a clause that holds
+        it is rejected built a clause at a time as well as by the
+        formula a bulk load takes."""
+        with pytest.raises(ValueError, match="literal 3 out of range"):
+            Solver(2).add_guarded_clause([1, 3])
+        with pytest.raises(ValueError, match="literal 3 exceeds"):
+            CnfFormula(2, [[1, 3]])
+
+    def test_needs_a_solver_with_no_variables(self):
+        with pytest.raises(ValueError, match="no variables"):
+            Solver(1).load(CnfFormula(1, [[1]]), False)
 
 
 @st.composite

@@ -260,6 +260,14 @@ class TestIncremental:
         assert session.model([-1]) == {-1, 2}
         assert session.model([-1, -2]) is None
 
+    def test_guarded_clause_cannot_name_its_own_selector(self):
+        """Literal 3 of a 2-variable solver would be the guarded clause's
+        own selector, which turns the clause into a tautology."""
+        solver = Solver(2)
+        with pytest.raises(ValueError, match="literal 3 out of range"):
+            solver.add_guarded_clause([1, 3])
+        assert solver.num_vars == 2
+
     def test_clause_addition_monotone(self):
         engine = SatEngine()
         session = engine.session(3)
