@@ -49,14 +49,6 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def induced(self, clause_indices) -> "CnfFormula":
-        """Sub-formula made of the given clause indices, in ascending order."""
-        idx = sorted(set(int(i) for i in clause_indices))
-        for i in idx:
-            if not 0 <= i < self.num_clauses:
-                raise IndexError(f"clause index {i} out of range")
-        return CnfFormula(self.num_vars, [self.clauses[i] for i in idx])
-
 
 @dataclass(frozen=True)
 class FormulaStats:

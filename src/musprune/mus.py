@@ -26,9 +26,10 @@ assumption core, or a SAT answer's model. MARCO uses both:
   plain rotation starts from the witness's model. Replication-guided
   enumeration reuses known satisfiable sets the same way (Bendik &
   Cerna, CP 2020).
-- MARCO's first seed costs no map solve. Over the whole map it is
-  every clause, so it shrinks from the full UNSAT check's core; over a
-  pruner's kept set it is that set, queried right after the check.
+- MARCO's first seed costs no map solve. It is the set it enumerates
+  inside, every clause or a pruner's kept set, and its query is the
+  first question. The whole formula is asked only when a kept set is
+  SAT: an UNSAT kept set already shows the formula UNSAT.
 - Grow holds its set as a clause bitmask. It starts from the clauses
   the seed's model satisfies and, after every SAT answer, takes in each
   clause the answer's model satisfies without a query (model-based
@@ -120,15 +121,16 @@ class SubsetSolver:
         The core is an UNSAT subset of ``subset``; the model is the set of
         true literals, one per variable of the formula, and is also kept
         in ``witnesses``. Raises IndexError for a clause index outside
-        the formula, and _DeadlinePassed once ``deadline`` (a
-        ``time.perf_counter()`` value) passes.
+        the formula, even past the deadline: this is the package's one
+        check of a clause-index set. Raises _DeadlinePassed once
+        ``deadline`` (a ``time.perf_counter()`` value) passes.
         """
-        if deadline is not None and time.perf_counter() >= deadline:
-            raise _DeadlinePassed("deadline passed")
         indices = sorted(subset)
         if indices and (indices[0] < 0 or indices[-1] >= len(self.clauses)):
             bad = indices[0] if indices[0] < 0 else indices[-1]
             raise IndexError(f"clause index {bad} out of range")
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise _DeadlinePassed("deadline passed")
         first = self._first
         assumptions = [first + j for j in indices]
         result = self._session.solve(assumptions, deadline)
@@ -146,21 +148,13 @@ class SubsetSolver:
         return {s - first for s in result.core}, None
 
 
-def _check_indices(formula: CnfFormula, subset) -> frozenset[int]:
-    subset = frozenset(int(i) for i in subset)
-    for i in subset:
-        if not 0 <= i < formula.num_clauses:
-            raise IndexError(f"clause index {i} out of range")
-    return subset
-
-
 def is_mus(formula: CnfFormula, subset, engine: SatEngine | None = None) -> bool:
     """True iff the induced subset is UNSAT and every single-clause
     deletion is SAT (Minimal Unsatisfiable Subset).
 
     As an audit it asks a fresh solver all ``1 + len(subset)`` questions
     and reads no witness."""
-    subset = _check_indices(formula, subset)
+    subset = frozenset(int(i) for i in subset)
     solver = SubsetSolver(formula, engine)
     if solver.query(subset)[0] is None:
         return False
@@ -175,7 +169,7 @@ def shrink(formula: CnfFormula, seed, engine: SatEngine | None = None) -> MusRec
 
     See ``_shrink_in``. Raises ValueError if the seed is SAT.
     """
-    seed = _check_indices(formula, seed)
+    seed = frozenset(int(i) for i in seed)
     solver = SubsetSolver(formula, engine)
     if solver.query(seed)[0] is None:
         raise ValueError("seed subset is satisfiable; nothing to shrink")
@@ -313,14 +307,16 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     model to a maximal satisfiable subset of the clauses in play (subsets
     then blocked), leaving out unasked each clause that would complete a
     MUS already found. The first seed costs no map solve: over the whole
-    map it is every clause, which the full UNSAT check answers. Stops
+    map it is every clause, whose query is the UNSAT check. Stops
     when the map empties or, returning the trace so far, when the budget
     runs out: the deadline is checked before every query and map solve.
 
     ``first``, when given, is a set of clause indices (a pruner's kept
     set) to enumerate inside first: the map leaves every other clause
-    out, so its first seed is ``first``, queried after the full check,
-    and grow stays inside ``first``. Once that restricted map is
+    out, so its first seed is ``first``, queried before anything else,
+    and grow stays inside ``first``. Only a SAT ``first`` leads to a
+    query of the whole formula, to tell a formula with no MUS from one
+    whose MUSes all lie outside ``first``. Once that restricted map is
     exhausted, the enumeration goes on over the whole map, with every
     MUS and satisfiable set found so far still blocked; a satisfiable
     set stays satisfiable, so its block stays sound. MUSes are in the
@@ -330,8 +326,7 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
         raise ValueError("budget must be positive")
     deadline = time.perf_counter() + budget
     m = formula.num_clauses
-    universe = range(m) if first is None else sorted(
-        _check_indices(formula, first))
+    universe = range(m) if first is None else sorted({int(i) for i in first})
     solver = SubsetSolver(formula, engine)
     # The restricted map fixes each clause outside ``first`` left out by a
     # unit clause, not an assumption, which keeps its blocking clauses and
@@ -345,11 +340,10 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     muses_of: list[list[int]] = [[] for _ in range(m)]
     trace = EnumerationTrace()
     try:
-        core = solver.query(range(m), deadline)[0]
-        if core is None:
+        core = solver.query(universe, deadline)[0]
+        if core is None and (len(universe) == m
+                             or solver.query(range(m), deadline)[0] is None):
             raise ValueError("formula is satisfiable; it has no MUS")
-        if len(universe) < m:
-            core = solver.query(universe, deadline)[0]
         while True:
             trace.seeds_tested += 1
             if core is None:

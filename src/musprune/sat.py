@@ -108,11 +108,11 @@ class Solver:
         self._activity: list[float] = [0.0]
         self._decision: list[bool] = [False]
         # Order heap of (-activity, variable) entries. Every free decision
-        # variable has an entry at its current activity. Between rebuilds,
-        # activities only grow, so a variable's older entries rank below
-        # its newest one. Hence the least entry of a free decision variable
-        # is the free decision variable of highest activity, ties to the
-        # lowest index.
+        # variable has an entry at its current activity, and no entry names
+        # a non-decision variable. Between rebuilds, activities only grow,
+        # so a variable's older entries rank below its newest one. Hence
+        # the least entry of a free decision variable is the free decision
+        # variable of highest activity, ties to the lowest index.
         self._heap: list[tuple[float, int]] = []
         # Indexed by literal code 2v / 2v+1 (positive / negative).
         self._watches: list[list[list[int]]] = [[], []]
@@ -467,11 +467,11 @@ class Solver:
 
     def _decide(self) -> bool:
         """Branch on the best free decision variable; False if none is
-        left. Entries of assigned or non-decision variables are stale."""
-        assign, heap, decision = self._assign, self._heap, self._decision
+        left. Entries of assigned variables are stale."""
+        assign, heap = self._assign, self._heap
         while heap:
             best = heappop(heap)[1]
-            if assign[best] == 0 and decision[best]:
+            if assign[best] == 0:
                 self.stats.decisions += 1
                 lit = best if self._phase[best] else -best
                 self._trail_lim.append(len(self._trail))

@@ -3,8 +3,8 @@ with its measured quantity once the assertions at the stated tolerance
 hold. The desk-scale training fixture is shared between the training
 efficacy and enumeration trend criteria (session scope).
 
-Run with ``pytest tests/test_acceptance.py -v -s``. The full suite
-including the training run takes roughly 15-25 minutes on one CPU.
+Run with ``pytest tests/test_acceptance.py -v -s``. It takes about 7
+minutes on a 2-core host, most of them criterion 9's enumeration runs.
 """
 
 import math

@@ -162,10 +162,6 @@ class TestCnfFormula:
         assert f.num_vars == 3 and f.clauses == ((1, -3), (2,))
         assert all(type(lit) is int for c in f.clauses for lit in c)
 
-    def test_induced(self):
-        f = CnfFormula(2, [[1], [-1], [1, 2]])
-        assert f.induced([2, 0]).clauses == ((1,), (1, 2))
-
     def test_immutable(self):
         f = CnfFormula(1, [[1]])
         with pytest.raises(AttributeError):

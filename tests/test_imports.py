@@ -1,15 +1,18 @@
 """Package modules use each other only through public names, and the
-package's count of settable values is pinned.
+package's count of settable values and its public names are pinned.
 
 A private (``_``-prefixed) name is its module's own business; a module
 that needs one from another module should get a public entry point
 there instead. So is a private attribute its object's: code reads one
-only off ``self`` or ``cls``. The source files are parsed, not imported.
+only off ``self`` or ``cls``. The source files are parsed, not imported,
+except by the test of the public names.
 """
 
 import ast
 import glob
 import os
+
+import musprune
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src", "musprune")
@@ -94,3 +97,28 @@ def settable_values(path):
 def test_settable_value_count_is_pinned():
     paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
     assert sum(settable_values(p) for p in paths) == SETTABLE_VALUES
+
+
+# A change that adds or removes a public name updates this tuple and says
+# why.
+PUBLIC_NAMES = (
+    "CnfFormula", "DimacsFormatError", "EnumerationTrace", "FormulaStats",
+    "GenSpec", "LiteralClauseGraph", "ModelConfig", "ModelParams",
+    "MusRecord", "OptimizerState", "PruneOutcome", "SAT", "SatEngine",
+    "SatResult", "SolveStats", "Solver", "TrainConfig", "TrainMetrics",
+    "UNKNOWN", "UNSAT", "adam_update", "brute_force_muses", "build_lcg",
+    "clause_length_prune", "clause_stats", "cnf", "coloring_encoding",
+    "emit_corpus", "enumerate_marco", "evaluate_loss", "forward",
+    "gen_graph_coloring", "gen_sr_random", "gen_stat_matched", "generate",
+    "generators", "init_params", "is_mus", "lcg", "lift_muses",
+    "load_checkpoint", "log_prob", "make_input_features", "model", "mus",
+    "none_prune", "parse_dimacs", "prune_clauses", "prune_loss", "pruning",
+    "random_prune", "recover_formula", "reinforce_step", "sample_mask",
+    "sat", "save_checkpoint", "score_clauses", "score_with_pullback",
+    "shrink", "threshold_prune", "train", "training",
+    "truth_table_satisfiable", "variable_frequency_prune", "write_dimacs",
+)
+
+
+def test_public_names_are_pinned():
+    assert tuple(musprune.__all__) == PUBLIC_NAMES

@@ -97,7 +97,8 @@ class TestUnsatCore:
             core, model = SubsetSolver(f).query(range(f.num_clauses))
             assert model is None
             assert core <= set(range(f.num_clauses))
-            assert not truth_table_satisfiable(f.induced(sorted(core)))
+            assert not truth_table_satisfiable(
+                CnfFormula(f.num_vars, [f.clauses[j] for j in sorted(core)]))
 
     def test_core_leaves_out_unused_clauses(self):
         f = CnfFormula(3, [[1], [-1], [2, 3], [-3]])
@@ -115,6 +116,10 @@ class TestUnsatCore:
     def test_passed_deadline_raises(self):
         with pytest.raises(_DeadlinePassed):
             SubsetSolver(F1).query({0, 1}, time.perf_counter())
+
+    def test_index_checked_before_the_deadline(self):
+        with pytest.raises(IndexError, match="clause index 99 out"):
+            SubsetSolver(F1).query({0, 99}, time.perf_counter())
 
 
 class TestShrink:
@@ -169,6 +174,13 @@ class TestEnumerateMarco:
         with pytest.raises(ValueError, match="satisfiable"):
             enumerate_marco(CnfFormula(2, [[1, 2]]), 1.0)
 
+    @pytest.mark.parametrize("first", [set(), {0}, {0, 1}])
+    def test_sat_input_rejected_with_first(self, first):
+        """A SAT kept set sends the run to the whole formula, which is
+        SAT too."""
+        with pytest.raises(ValueError, match="formula is satisfiable"):
+            enumerate_marco(CnfFormula(2, [[1], [1, 2]]), 1.0, first=first)
+
     def test_nonpositive_budget_rejected(self):
         for budget in (0.0, float("nan")):
             with pytest.raises(ValueError, match="budget"):
@@ -200,8 +212,8 @@ class TestEnumerateMarco:
 
     def test_first_mus_of_kept_set_before_any_map_solve(self, monkeypatch):
         """The restricted map's first seed is the kept set itself, which is
-        queried right after the full check: the first MUS reaches the sink
-        before the map is solved at all."""
+        the first query: the first MUS reaches the sink before the map is
+        solved at all."""
         events = []
         solve = Solver.solve
 
@@ -221,6 +233,51 @@ class TestEnumerateMarco:
     def test_first_index_out_of_range(self):
         with pytest.raises(IndexError, match="out of range"):
             enumerate_marco(F1, 30.0, first={0, 4})
+
+    def test_unsat_kept_set_is_the_only_question_before_shrink(
+            self, monkeypatch):
+        """An UNSAT kept set shows the formula UNSAT, so the whole
+        formula is never asked: the kept set is queried once, and shrink
+        needs one deletion query before the first MUS reaches the
+        sink."""
+        events = []
+        query = SubsetSolver.query
+
+        def spy(self, subset, deadline=None):
+            events.append(sorted(subset))
+            return query(self, subset, deadline)
+
+        monkeypatch.setattr(SubsetSolver, "query", spy)
+        enumerate_marco(F1, 30.0, first={1, 2, 3},
+                        sink=lambda r: events.append(r.sorted_indices()))
+        assert events[:3] == [[1, 2, 3], [2, 3], [1, 2, 3]]
+
+    def test_sat_kept_set_falls_back_to_the_whole_formula(self):
+        """A SAT kept set holds no MUS; the run asks the whole formula,
+        grows from the kept set's model, and an exhausted run still gives
+        every MUS."""
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 15:
+            f = random_unsat(rng, n_hi=4, m_hi=9)
+            first = {j for j in range(f.num_clauses) if rng.random() < 0.6}
+            kept = CnfFormula(f.num_vars, [f.clauses[j] for j in first])
+            if not truth_table_satisfiable(kept):
+                continue
+            trace = enumerate_marco(f, 30.0, first=first)
+            assert trace.exhausted
+            assert mus_sets(trace.muses) == mus_sets(brute_force_muses(f))
+            checked += 1
+
+    @pytest.mark.parametrize("call", [
+        lambda: enumerate_marco(F1, 1e-9, first={0, 99}),
+        lambda: is_mus(F1, {0, 99}),
+        lambda: shrink(F1, {0, 99})],
+        ids=["enumerate_marco", "is_mus", "shrink"])
+    def test_index_outside_the_formula_raises(self, call):
+        """Even a run whose budget has passed names the bad index."""
+        with pytest.raises(IndexError, match="out of range"):
+            call()
 
     def test_sink_called_per_mus(self):
         collected = []
@@ -425,10 +482,10 @@ class TestSubsetMusProperty:
             f = random_unsat(rng)
             full = set(range(f.num_clauses))
             sub = {c for c in full if rng.random() < 0.8}
-            if truth_table_satisfiable(f.induced(sub)):
-                continue
-            induced = f.induced(sub)
             order = sorted(sub)
+            induced = CnfFormula(f.num_vars, [f.clauses[j] for j in order])
+            if truth_table_satisfiable(induced):
+                continue
             for record in brute_force_muses(induced):
                 original_indices = {order[i] for i in record.clause_indices}
                 assert is_mus(f, original_indices)

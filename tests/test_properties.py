@@ -145,11 +145,17 @@ def assignments(num_vars):
                for v in range(1, num_vars + 1)}
 
 
+def induced(f, indices):
+    """The sub-formula of ``f``'s clauses at ``indices``, in ascending
+    order."""
+    return CnfFormula(f.num_vars, [f.clauses[j] for j in sorted(indices)])
+
+
 def unsat_subset(f, data):
     """A drawn UNSAT subset of ``f``'s clauses; all of them if the drawn
     one is SAT."""
     subset = data.draw(st.sets(st.integers(0, f.num_clauses - 1)))
-    if truth_table_satisfiable(f.induced(subset)):
+    if truth_table_satisfiable(induced(f, subset)):
         return set(range(f.num_clauses))
     return subset
 
@@ -233,11 +239,11 @@ def guarded(draw):
 def guarded_solver(f, guards, assumed):
     """A solver over ``f``'s clauses with their guards, every selector
     out of the decision order. Guards may be shared or doubled, which
-    ``Solver.add_guarded_clause`` never builds, so the private decision
-    flag is set directly."""
-    solver = Solver(num_vars=max([f.num_vars, *assumed, *sum(guards, [])]))
-    for s in range(f.num_vars + 1, solver.num_vars + 1):
-        solver._decision[s] = False
+    ``Solver.add_guarded_clause`` never builds, so the selectors are made
+    by the private ``_new_variables`` directly."""
+    solver = Solver(num_vars=f.num_vars)
+    solver._new_variables(
+        max([f.num_vars, *assumed, *sum(guards, [])]) - f.num_vars, False)
     for clause, g in zip(f.clauses, guards):
         solver.add_clause(list(clause) + [-s for s in g])
     return solver
@@ -255,8 +261,9 @@ class TestDecisionHeap:
         """Every decision is the free decision variable of highest
         activity, ties to the lowest index, and the answer is SAT only
         when no free decision variable is left; every free decision
-        variable has an entry at its current activity, and the heap never
-        holds more than 2 * num_vars entries. A low rescale threshold
+        variable has an entry at its current activity, no entry names a
+        non-decision variable, and the heap never holds more than
+        2 * num_vars entries. A low rescale threshold
         exercises the rebuild after rescaling; a selector added between
         queries stays out of the heap. Guarded cases add non-decision
         selectors, some of them assumed."""
@@ -268,6 +275,7 @@ class TestDecisionHeap:
                     if self._assign[v] == 0 and self._decision[v]]
             entries = set(self._heap)
             assert all((-self._activity[v], v) in entries for v in free)
+            assert all(self._decision[v] for _, v in self._heap)
             assert len(self._heap) <= 2 * self.num_vars
             decided = decide(self)
             assert decided == bool(free)
@@ -582,9 +590,9 @@ class TestMus:
         seed = unsat_subset(f, data)
         mus = shrink(f, seed).clause_indices
         assert mus <= seed
-        assert not truth_table_satisfiable(f.induced(mus))
+        assert not truth_table_satisfiable(induced(f, mus))
         for c in mus:
-            assert truth_table_satisfiable(f.induced(mus - {c}))
+            assert truth_table_satisfiable(induced(f, mus - {c}))
 
 
 def reference_rotation(f, c, model, current, known, extend):
@@ -624,7 +632,7 @@ class TestModelUse:
         satisfiable. A tautology never is. The model is left as it was."""
         current = unsat_subset(f, data)
         critical = {c for c in current
-                    if truth_table_satisfiable(f.induced(current - {c}))}
+                    if truth_table_satisfiable(induced(f, current - {c}))}
         known = data.draw(st.sets(st.sampled_from(sorted(critical)))
                           if critical else st.just(set()))
         solver = SubsetSolver(f)
@@ -684,11 +692,11 @@ class TestModelUse:
         for d, model, working in rotations:
             assert d in working
             assert satisfies(model, [f.clauses[j] for j in working - {d}])
-            assert truth_table_satisfiable(f.induced(working - {d}))
+            assert truth_table_satisfiable(induced(f, working - {d}))
         assert result <= current
-        assert not truth_table_satisfiable(f.induced(result))
+        assert not truth_table_satisfiable(induced(f, result))
         for c in result:
-            assert truth_table_satisfiable(f.induced(result - {c}))
+            assert truth_table_satisfiable(induced(f, result - {c}))
 
     @SETTINGS
     @given(noisy_unsat(), st.data())
@@ -727,9 +735,9 @@ class TestModelUse:
         mask = _grow_in(solver, falsified, universe, None, muses_of)
         grown = {j for j in range(m) if mask >> j & 1}
         assert satisfied <= grown <= set(universe)
-        assert truth_table_satisfiable(f.induced(grown))
+        assert truth_table_satisfiable(induced(f, grown))
         for c in set(universe) - grown:
-            assert not truth_table_satisfiable(f.induced(grown | {c}))
+            assert not truth_table_satisfiable(induced(f, grown | {c}))
         known = set(satisfied)
         for subset, answer in queries:
             (c,) = subset - known

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from musprune import lcg, training
-from musprune.cnf import CnfFormula
+from musprune.cnf import CnfFormula, prune_clauses
 from musprune.generators import gen_sr_random
 from musprune.lcg import build_lcg, make_input_features, recover_formula
 from musprune.model import (ModelConfig, _forward_with_pullback, forward,
@@ -37,7 +37,7 @@ class TestPruneLoss:
 
     def test_squared_ratio(self):
         f = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
-        pruned = f.induced([0, 1, 2])
+        pruned = prune_clauses(f, [True, True, True, False])[0]
         assert prune_loss(f, pruned, False) == pytest.approx(0.5625)
 
     def test_grown_formula_rejected(self):
@@ -51,7 +51,7 @@ class TestPruneLoss:
         for _ in range(30):
             f = gen_sr_random(6, seed=int(rng.integers(100)))
             keep = rng.random(f.num_clauses) < rng.random()
-            pruned = f.induced(np.flatnonzero(keep))
+            pruned = prune_clauses(f, keep)[0]
             val = prune_loss(f, pruned, bool(rng.integers(2)))
             assert 0.0 <= val <= 1.0
 
@@ -238,7 +238,7 @@ class TestEstimatorUnbiasedness:
             for bits in range(2 ** m):
                 pruned_bits = np.array([(bits >> i) & 1 == 1 for i in range(m)])
                 keep = ~pruned_bits
-                pruned = f.induced(np.flatnonzero(keep))
+                pruned = prune_clauses(f, keep)[0]
                 loss = prune_loss(f, pruned, engine.is_satisfiable(pruned))
                 prob_factors = np.where(pruned_bits, mu, 1 - mu)
                 prob = float(np.prod(prob_factors))
