@@ -5,8 +5,8 @@ This walk-through builds a small formula, inspects its statistics, and
 queries the CDCL engine directly.
 """
 
-from musprune import (CnfFormula, SatEngine, clause_stats, parse_dimacs,
-                      write_dimacs)
+from musprune import (CnfFormula, SatEngine, Solver, clause_stats,
+                      parse_dimacs, write_dimacs)
 
 engine = SatEngine()
 
@@ -25,8 +25,12 @@ print("variant status:", result.status,
 print("solver stats:", result.stats)
 
 # Assumptions force literals true for one query without changing the
-# formula. Forcing 2 true makes the clause (-2) unsatisfiable.
-print("assume 2:", engine.solve(sat_variant, assumptions=[2]).status)
+# formula; they go to a solver that has loaded it. Forcing 2 true makes
+# the clause (-2) unsatisfiable.
+solver = Solver()
+solver.load(sat_variant, False)
+print("assume 2:", solver.solve([2]).status)  # UNSAT
+print("no assumptions:", solver.solve().status)  # SAT again
 
 # DIMACS text round-trips exactly.
 text = write_dimacs(f1)

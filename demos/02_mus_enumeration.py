@@ -18,16 +18,16 @@ print("is {0,1,2} a MUS?", is_mus(f1, {0, 1, 2}))     # False: not minimal
 # that answer. From the full formula it lands on the second MUS because
 # clause 0 can be dropped first.
 record = shrink(f1, {0, 1, 2, 3})
-print("shrink(full) ->", record.sorted_indices())
+print("shrink(full) ->", sorted(record.clause_indices))
 
 # The brute-force oracle enumerates all subsets (small formulas only).
 oracle = brute_force_muses(f1)
-print("brute force:", sorted(r.sorted_indices() for r in oracle))
+print("brute force:", sorted(sorted(r.clause_indices) for r in oracle))
 
 # The MARCO-style enumerator explores the subset lattice through a map
 # solver: unexplored seed -> shrink (UNSAT) or grow + block (SAT).
 trace = enumerate_marco(f1, budget=10.0)
-print("marco:", sorted(r.sorted_indices() for r in trace.muses),
+print("marco:", sorted(sorted(r.clause_indices) for r in trace.muses),
       "| exhausted:", trace.exhausted, "| seeds tested:", trace.seeds_tested)
 assert {r.clause_indices for r in trace.muses} == \
        {r.clause_indices for r in oracle}

@@ -10,7 +10,7 @@ features and emits one prune probability per clause.
 import numpy as np
 
 from musprune import (CnfFormula, build_lcg, forward, init_params,
-                      make_input_features, recover_formula, sample_mask,
+                      make_input_features, sample_mask,
                       score_clauses, log_prob, ModelConfig)
 
 f1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
@@ -21,9 +21,6 @@ print(f"literal occurrences: {graph.incidence.nnz}")
 print("clause-by-literal incidence (literal rows x1 x2 -x1 -x2):")
 print(graph.incidence.toarray())
 print("negation pairs literal row i with row:", graph.negation.tolist())
-
-# The conversion is lossless.
-assert recover_formula(graph) == f1
 
 # Input features: a node-type one-hot block plus d_r random normal
 # columns (resampled per forward pass, seeded for reproducibility).

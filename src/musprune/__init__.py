@@ -10,8 +10,7 @@ from .cnf import (CnfFormula, DimacsFormatError, FormulaStats, clause_stats,
 from .generators import (GenSpec, coloring_encoding, emit_corpus,
                          gen_graph_coloring, gen_sr_random, gen_stat_matched,
                          generate)
-from .lcg import (LiteralClauseGraph, build_lcg, make_input_features,
-                  recover_formula)
+from .lcg import LiteralClauseGraph, build_lcg, make_input_features
 from .model import (ModelConfig, ModelParams, forward, init_params,
                     load_checkpoint, log_prob, sample_mask, save_checkpoint,
                     score_clauses, score_with_pullback)

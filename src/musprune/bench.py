@@ -113,6 +113,11 @@ class BenchConfig:
             raise ValueError("problem set is empty")
         if not self.pruners:
             raise ValueError("pruner list is empty")
+        labels = [spec.label() for spec in self.pruners]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"two pruners share the label {label!r}; "
+                                 "reports group runs by label")
         if not self.budgets:
             raise ValueError("budget list is empty")
         if self.external_command == "":

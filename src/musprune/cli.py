@@ -144,7 +144,7 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     for record in trace.muses:
-        print(" ".join(str(i) for i in record.sorted_indices()))
+        print(" ".join(str(i) for i in sorted(record.clause_indices)))
     if not args.quiet:
         print(f"c {len(trace.muses)} MUSes, seeds_tested={trace.seeds_tested}, "
               f"exhausted={trace.exhausted}", file=sys.stderr)

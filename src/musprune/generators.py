@@ -78,10 +78,6 @@ class GenSpec:
             if lo < bound:
                 raise ValueError(f"{name} must be >= {bound}, got {lo}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return {k: v for k, v in d.items() if v is not None}
-
 
 def _sample_clause(rng, n_vars: int, length: int) -> list[int]:
     length = max(1, min(length, n_vars))
@@ -109,7 +105,7 @@ def _add_until_unsat(session, draw, clauses, model) -> list[list[int]]:
         session.add_clause(clause)
         clauses.append(clause)
         if not _satisfies(model, clause):
-            model = session.model()
+            model = session.solve().model
             if model is None:
                 return clauses
 
@@ -167,7 +163,7 @@ def gen_stat_matched(stats: FormulaStats, seed=0,
     while len(clauses) < lower_bound:
         clause = draw()
         selector = session.add_guarded_clause(clause)
-        found = model if _satisfies(model, clause) else session.model([selector])
+        found = model if _satisfies(model, clause) else session.solve([selector]).model
         if found is not None:
             model = found
             session.add_clause(clause)
@@ -256,6 +252,7 @@ def emit_corpus(out_dir, spec: GenSpec, count: int, seed=0) -> list[str]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     engine = SatEngine()
+    fields = {k: v for k, v in asdict(spec).items() if v is not None}
     texts, records = [], []
     for i in range(count):
         instance_seed = np.random.SeedSequence(entropy=(seed, i))
@@ -264,7 +261,7 @@ def emit_corpus(out_dir, spec: GenSpec, count: int, seed=0) -> list[str]:
         texts.append(write_dimacs(formula))
         records.append({
             "file": f"{i:05d}.cnf",
-            "spec": spec.to_dict(),
+            "spec": fields,
             "seed": [seed, i],
             "num_vars": formula.num_vars,
             "num_clauses": formula.num_clauses,

@@ -71,17 +71,6 @@ def build_lcg(formula: CnfFormula) -> LiteralClauseGraph:
         (np.ones(len(lits)), literal_rows, indptr), shape=(m, 2 * n)))
 
 
-def recover_formula(graph: LiteralClauseGraph) -> CnfFormula:
-    """Inverse of :func:`build_lcg`; reads each clause off its row."""
-    n = graph.num_vars
-    indptr, indices = graph.incidence.indptr, graph.incidence.indices
-    if len(indices) and not 0 <= indices.min() <= indices.max() < 2 * n:
-        raise ValueError(f"incidence column outside the {2 * n} literal rows")
-    lits = np.where(indices < n, indices + 1, n - indices - 1).tolist()
-    return CnfFormula(n, [lits[indptr[j]:indptr[j + 1]]
-                          for j in range(graph.num_clauses)])
-
-
 def make_input_features(graph: LiteralClauseGraph, d_r: int,
                         seed) -> np.ndarray:
     """Node features [X_V, R]: type one-hots plus d_r standard-normal columns.
@@ -90,9 +79,6 @@ def make_input_features(graph: LiteralClauseGraph, d_r: int,
     """
     if d_r < 0:
         raise ValueError("d_r must be nonnegative")
-    x_v = graph.node_type_onehot
-    if d_r == 0:
-        return x_v.copy()
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((graph.num_nodes, d_r))
-    return np.hstack([x_v, r])
+    return np.hstack([graph.node_type_onehot, r])

@@ -32,6 +32,7 @@ clauses (conservative start).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -284,28 +285,34 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Load a :func:`save_checkpoint` file; ValueError if it is not one."""
-    with np.load(path) as data:
-        if "__meta__" not in data.files:
-            raise ValueError(f"{path}: not a checkpoint (no __meta__ entry)")
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {meta.get('format_version')}"
-            )
-        fields = meta.get("config")
-        if not isinstance(fields, dict):
-            raise ValueError(f"{path}: checkpoint has no model config")
-        try:  # unknown keys and values of the wrong type
-            config = ModelConfig(**fields)
-        except TypeError as exc:
-            raise ValueError(f"{path}: bad model config: {exc}") from None
-        tensors = {
-            k[len("tensor/"):]: data[k]
-            for k in data.files if k.startswith("tensor/")
-        }
+    try:
+        with np.load(path) as data:
+            if "__meta__" not in data.files:
+                raise ValueError(
+                    f"{path}: not a checkpoint (no __meta__ entry)")
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            if meta.get("format_version") != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version "
+                                 f"{meta.get('format_version')}")
+            fields = meta.get("config")
+            if not isinstance(fields, dict):
+                raise ValueError(f"{path}: checkpoint has no model config")
+            try:  # unknown keys and values of the wrong type
+                config = ModelConfig(**fields)
+            except TypeError as exc:
+                raise ValueError(f"{path}: bad model config: {exc}") from None
+            tensors = {
+                k[len("tensor/"):]: data[k]
+                for k in data.files if k.startswith("tensor/")
+            }
+    # What zipfile and numpy raise for an archive cut short or damaged:
+    # a bad CRC surfaces only when a tensor is read.
+    except (zipfile.BadZipFile, EOFError, NotImplementedError) as exc:
+        raise ValueError(f"{path}: not a checkpoint ({exc})") from None
     expected = init_params(config, 0).tensors
     if set(tensors) != set(expected):
-        raise ValueError("checkpoint tensors do not match the configuration")
+        raise ValueError(
+            f"{path}: checkpoint tensors do not match the configuration")
     for name, ref in expected.items():
         got = tensors[name]
         if (got.shape, got.dtype) != (ref.shape, ref.dtype):

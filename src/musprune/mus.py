@@ -7,7 +7,8 @@ truth tables and is fully independent of the CDCL engine.
 
 Every subset question, MARCO's and the pruners' threshold search's,
 goes through ``SubsetSolver.query``: the clauses of an UNSAT answer's
-assumption core, or a SAT answer's model. MARCO uses both:
+assumption core, or None, a SAT answer's model going to the solver's
+witness store. MARCO uses both:
 
 - Shrink keeps only the core after each UNSAT answer (clause-set
   refinement, as in MUSer2), so clauses outside a core are dropped
@@ -59,9 +60,6 @@ class MusRecord:
 
     clause_indices: frozenset[int]
 
-    def sorted_indices(self) -> list[int]:
-        return sorted(self.clause_indices)
-
 
 @dataclass
 class EnumerationTrace:
@@ -90,7 +88,8 @@ class SubsetSolver:
 
     ``witnesses`` holds one ``(mask, model)`` pair per SAT answer, in
     answer order: bit ``j`` of the int ``mask`` is set iff ``model``
-    falsifies clause ``j``. Shrink and grow read them; nothing else does.
+    falsifies clause ``j``. It is the one channel for SAT answers: shrink,
+    grow and MARCO read the last pair after a query answers None.
     """
 
     def __init__(self, formula: CnfFormula, engine: SatEngine | None = None):
@@ -114,16 +113,16 @@ class SubsetSolver:
         self._all = (1 << m) - 1
         self.witnesses: list[tuple[int, set[int]]] = []
 
-    def query(self, subset, deadline: float | None = None
-              ) -> tuple[set[int] | None, set[int] | None]:
-        """``(core, None)`` if ``subset`` is UNSAT, ``(None, model)`` if SAT.
+    def query(self, subset, deadline: float | None = None) -> set[int] | None:
+        """The core of ``subset`` (an UNSAT subset of it) if ``subset`` is
+        UNSAT, None if it is SAT.
 
-        The core is an UNSAT subset of ``subset``; the model is the set of
-        true literals, one per variable of the formula, and is also kept
-        in ``witnesses``. Raises IndexError for a clause index outside
-        the formula, even past the deadline: this is the package's one
-        check of a clause-index set. Raises _DeadlinePassed once
-        ``deadline`` (a ``time.perf_counter()`` value) passes.
+        A SAT answer's model, the set of true literals, one per variable
+        of the formula, is in ``witnesses[-1]``. Raises IndexError for a
+        clause index outside the formula, even past the deadline: this is
+        the package's one check of a clause-index set. Raises
+        _DeadlinePassed once ``deadline`` (a ``time.perf_counter()``
+        value) passes.
         """
         indices = sorted(subset)
         if indices and (indices[0] < 0 or indices[-1] >= len(self.clauses)):
@@ -142,10 +141,10 @@ class SubsetSolver:
             for lit in model:
                 satisfied |= self._satisfied_by.get(lit, 0)
             self.witnesses.append((self._all ^ satisfied, model))
-            return None, model
+            return None
         if result.core is None:
             raise AssertionError("internal: UNSAT subset answer without a core")
-        return {s - first for s in result.core}, None
+        return {s - first for s in result.core}
 
 
 def is_mus(formula: CnfFormula, subset, engine: SatEngine | None = None) -> bool:
@@ -156,10 +155,10 @@ def is_mus(formula: CnfFormula, subset, engine: SatEngine | None = None) -> bool
     and reads no witness."""
     subset = frozenset(int(i) for i in subset)
     solver = SubsetSolver(formula, engine)
-    if solver.query(subset)[0] is None:
+    if solver.query(subset) is None:
         return False
     for c in sorted(subset):
-        if solver.query(subset - {c})[0] is not None:
+        if solver.query(subset - {c}) is not None:
             return False
     return True
 
@@ -171,7 +170,7 @@ def shrink(formula: CnfFormula, seed, engine: SatEngine | None = None) -> MusRec
     """
     seed = frozenset(int(i) for i in seed)
     solver = SubsetSolver(formula, engine)
-    if solver.query(seed)[0] is None:
+    if solver.query(seed) is None:
         raise ValueError("seed subset is satisfiable; nothing to shrink")
     return MusRecord(frozenset(_shrink_in(solver, seed, None)))
 
@@ -212,13 +211,14 @@ def _shrink_in(solver: SubsetSolver, seed: set[int] | frozenset[int],
     for c in sorted(seed):
         if c not in current or c in critical:
             continue
-        core, model = solver.query(current - {c}, deadline)
+        core = solver.query(current - {c}, deadline)
         if core is not None:
             current = core
             reuse_witnesses()
         else:
             critical.add(c)
-            _rotate(solver, c, model, current, critical, extend=True)
+            _rotate(solver, c, solver.witnesses[-1][1], current, critical,
+                    extend=True)
     return current
 
 
@@ -290,7 +290,7 @@ def _grow_in(solver: SubsetSolver, falsified: int, universe,
                                  for mask in muses_of[c]):
             continue
         subset = [j for j in universe if with_c >> j & 1]
-        if solver.query(subset, deadline)[0] is None:
+        if solver.query(subset, deadline) is None:
             bits |= in_play & ~solver.witnesses[-1][0]
     return bits
 
@@ -340,9 +340,9 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
     muses_of: list[list[int]] = [[] for _ in range(m)]
     trace = EnumerationTrace()
     try:
-        core = solver.query(universe, deadline)[0]
+        core = solver.query(universe, deadline)
         if core is None and (len(universe) == m
-                             or solver.query(range(m), deadline)[0] is None):
+                             or solver.query(range(m), deadline) is None):
             raise ValueError("formula is satisfiable; it has no MUS")
         while True:
             trace.seeds_tested += 1
@@ -377,7 +377,7 @@ def enumerate_marco(formula: CnfFormula, budget: float, sink=None,
                 trace.exhausted = result.status == UNSAT
                 break
             seed = [j for j in range(m) if -(j + 1) in result.model]
-            core = solver.query(seed, deadline)[0]
+            core = solver.query(seed, deadline)
     except _DeadlinePassed:
         pass
     return trace

@@ -3,16 +3,17 @@
 The main routine binary-searches a discretized threshold grid over the
 model's per-clause prune scores for the most aggressive pruning that
 keeps the formula unsatisfiable, spending O(log k) subset queries to one
-``SubsetSolver``. The clause-length and variable-frequency strategies
-run the same search, ``_grid_search``, on hand-crafted scores; random
-pruning is a chance baseline that may produce satisfiable output
-(recorded in the outcome). Every pruner builds its outcome in one
-place, ``_outcome``.
+``SubsetSolver``; a probe reads only whether its query answers with a
+core or with None. The variable-frequency strategy is that routine on
+rescaled frequency scores, and the clause-length strategy runs the same
+search, ``_grid_search``, on clause lengths; random pruning is a chance
+baseline that may produce satisfiable output (recorded in the outcome).
+Every pruner builds its outcome in one place, ``_outcome``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def _grid_search(formula: CnfFormula, scores: np.ndarray, levels,
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
-        if solver.query(np.flatnonzero(scores <= levels[mid]))[0] is None:
+        if solver.query(np.flatnonzero(scores <= levels[mid])) is None:
             lo = mid + 1
         else:
             hi = mid
@@ -142,19 +143,12 @@ def variable_frequency_scores(formula: CnfFormula) -> np.ndarray:
 def variable_frequency_prune(formula: CnfFormula, k: int,
                              engine: SatEngine) -> PruneOutcome:
     """Frequency-based pruning: rescale the frequency scores into (0, 1)
-    and run the same threshold search used for model scores."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if formula.num_clauses == 0:
-        return _outcome(formula, "var_freq", 0, formula, True)
+    and run :func:`threshold_prune` on them."""
     raw = variable_frequency_scores(formula)
-    lo, hi = float(raw.min()), float(raw.max())
-    if hi == lo:
-        mu = np.full(formula.num_clauses, 0.5)
-    else:
-        mu = 0.1 + 0.8 * (raw - lo) / (hi - lo)
-    return _grid_search(formula, mu, _threshold_levels(mu, k), engine,
-                        "var_freq")
+    mu = np.full(formula.num_clauses, 0.5)
+    if formula.num_clauses and raw.max() > raw.min():
+        mu = 0.1 + 0.8 * (raw - raw.min()) / (raw.max() - raw.min())
+    return replace(threshold_prune(formula, mu, k, engine), method="var_freq")
 
 
 def random_prune(formula: CnfFormula, fraction: float, seed,

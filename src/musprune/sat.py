@@ -599,13 +599,13 @@ class SatEngine:
     def __init__(self):
         self.calls = 0
 
-    def solve(self, formula: CnfFormula, assumptions=()) -> SatResult:
-        """Solve ``formula`` under ``assumptions`` with a fresh solver that
-        takes the formula in one bulk load (``Solver.load``)."""
+    def solve(self, formula: CnfFormula) -> SatResult:
+        """Solve ``formula`` with a fresh solver that takes the formula in
+        one bulk load (``Solver.load``)."""
         self.calls += 1
         solver = Solver()
         solver.load(formula, False)
-        return solver.solve(assumptions)
+        return solver.solve()
 
     def is_satisfiable(self, formula: CnfFormula) -> bool:
         return self.solve(formula).status == SAT
@@ -626,7 +626,3 @@ class SolverSession(Solver):
     def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
         self._engine.calls += 1
         return super().solve(assumptions, deadline)
-
-    def model(self, assumptions=()) -> set[int] | None:
-        """A model under the assumptions, or None if there is none."""
-        return self.solve(assumptions).model

@@ -275,6 +275,24 @@ class TestRunBenchmark:
             BenchConfig(problems=("a.cnf",), **{field: ()})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("pruners, label", [
+        ((PrunerSpec("model", "a.npz"), PrunerSpec("model", "b.npz")),
+         "model(k=10)"),
+        ((PrunerSpec(), PrunerSpec("var_freq"), PrunerSpec()), "none"),
+    ], ids=["two_checkpoints_same_k", "none_twice"])
+    def test_pruners_sharing_a_label_rejected(self, pruners, label):
+        """Reports group runs by label, so two pruners under one label
+        would be merged into one row."""
+        with pytest.raises(ValueError) as info:
+            BenchConfig(problems=("a.cnf",), pruners=pruners)
+        assert repr(label) in str(info.value)
+
+    def test_checkpoints_with_distinct_k_accepted(self):
+        pruners = (PrunerSpec("model", "a.npz", k=5),
+                   PrunerSpec("model", "b.npz"))
+        assert BenchConfig(problems=("a.cnf",), pruners=pruners).pruners \
+            == pruners
+
     def test_negative_audit_sample_rejected(self):
         with pytest.raises(ValueError) as info:
             BenchConfig(problems=("a.cnf",), audit_sample=-1)

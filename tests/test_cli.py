@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -14,7 +16,8 @@ from musprune.model import ModelConfig, init_params, save_checkpoint
 from musprune.mus import brute_force_muses, truth_table_satisfiable
 from musprune.pruning import random_prune, variable_frequency_prune
 from musprune.sat import SatEngine
-from musprune.training import TrainConfig
+from musprune.training import HISTORY_COLUMNS, TrainConfig
+from tests.test_model import damaged_checkpoint
 
 
 F1_TEXT = "p cnf 2 4\n1 0\n-1 0\n1 2 0\n-2 0\n"
@@ -43,12 +46,12 @@ def read_text(path):
         return fh.read()
 
 
-def train_small_model(problem_dir, ckpt):
+def train_small_model(problem_dir, ckpt, *flags):
     assert main(["train", "--corpus", problem_dir, "--out", str(ckpt),
                  "--max-formulas", "4", "--batch-size", "2",
                  "--layers", "2", "--hidden-dim", "8",
                  "--random-features", "4", "--mlp-hidden-dim", "8",
-                 "--eval-fraction", "0.34"]) == 0
+                 "--eval-fraction", "0.34", *flags]) == 0
 
 
 class TestTrain:
@@ -75,6 +78,19 @@ class TestTrain:
         assert (capsys.readouterr().err
                 == "error: learning_rate must be finite and positive\n")
         assert not ckpt.exists()
+
+    def test_history_has_one_row_per_step(self, tmp_path, problem_dir,
+                                          capsys):
+        history = tmp_path / "history.csv"
+        train_small_model(problem_dir, tmp_path / "model.npz",
+                          "--history", str(history))
+        steps = int(re.search(r"\((\d+) steps", capsys.readouterr().out)[1])
+        with open(history, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == HISTORY_COLUMNS
+        assert [row[0] for row in rows[1:]] == [
+            str(step) for step in range(1, steps + 1)]
+        assert steps >= 1
 
     # Each train flag with a config field behind it: flag dest -> field.
     FLAG_FIELDS = {
@@ -189,6 +205,18 @@ class TestPrune:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "head.b1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["cut", "flip"])
+    def test_damaged_checkpoint_is_an_error(self, tmp_path, f1_file, capsys,
+                                            how):
+        ckpt = damaged_checkpoint(tmp_path, how)
+        out = tmp_path / "out.cnf"
+        assert main(["prune", "--input", f1_file, "--pruner", f"model:{ckpt}",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: not a checkpoint")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -345,6 +373,19 @@ class TestBench:
         for suffix in ("records.csv", "aggregates.csv", "report.json",
                        "table.md", "scatter.csv"):
             assert os.path.exists(f"{prefix}.{suffix}"), suffix
+
+    @pytest.mark.parametrize("pruners", [
+        ["none", "none"], ["model:a.npz", "model:b.npz"]])
+    def test_pruners_sharing_a_label_exit_1(self, tmp_path, problem_dir,
+                                            pruners, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("benchmark ran")
+        monkeypatch.setattr(bench, "run_benchmark", no_run)
+        flags = [flag for p in pruners for flag in ("--pruner", p)]
+        assert main(["bench", "--problems", problem_dir, *flags,
+                     "--budgets", "1", "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: two pruners share the label")
 
     @pytest.mark.parametrize("pruner", [
         "bogus", "model", "model:", "var_freq:0", "clause_length:0",

@@ -45,6 +45,17 @@ class TestParseDimacs:
         with pytest.raises(DimacsFormatError):
             parse_dimacs("1 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
+        ("p cnf 2 x\n", "line 1: non-integer header fields 'p cnf 2 x'"),
+        ("c two clauses\np cnf -1 2\n", "line 2: negative header counts"),
+        ("c no header\n\n", "missing 'p cnf' header"),
+    ], ids=["duplicate", "non_integer", "negative", "no_header"])
+    def test_header_faults_are_named(self, text, message):
+        with pytest.raises(DimacsFormatError) as info:
+            parse_dimacs(text)
+        assert str(info.value) == message
+
     def test_empty_clause_allowed(self):
         f = parse_dimacs("p cnf 1 2\n0\n1 0\n")
         assert f.clauses == ((), (1,))

@@ -106,7 +106,7 @@ def reference_sr(n_vars, seed):
         clause = _sample_clause(rng, n_vars, _clause_length(rng, 0.3, 0.3))
         session.add_clause(clause)
         clauses.append(clause)
-        if session.model() is None:
+        if session.solve().model is None:
             return CnfFormula(n_vars, clauses)
 
 
@@ -121,7 +121,7 @@ def reference_stat_matched(stats, seed):
     while len(clauses) < lower_bound:
         clause = _sample_clause(rng, n, int(rng.choice(lengths, p=probs)))
         selector = session.add_guarded_clause(clause)
-        if session.model(committed + [selector]) is not None:
+        if session.solve(committed + [selector]).model is not None:
             committed.append(selector)
             clauses.append(clause)
         else:
@@ -130,7 +130,7 @@ def reference_stat_matched(stats, seed):
         clause = _sample_clause(rng, n, int(rng.choice(lengths, p=probs)))
         session.add_clause(clause)
         clauses.append(clause)
-        if session.model(committed) is None:
+        if session.solve(committed).model is None:
             return CnfFormula(n, clauses)
 
 

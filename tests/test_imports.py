@@ -1,15 +1,17 @@
 """Package modules use each other only through public names, and the
-package's count of settable values and its public names are pinned.
+package's count of settable values and its public names are pinned;
+every public name has a reader in the package or the benchmark.
 
 A private (``_``-prefixed) name is its module's own business; a module
 that needs one from another module should get a public entry point
 there instead. So is a private attribute its object's: code reads one
 only off ``self`` or ``cls``. The source files are parsed, not imported,
-except by the test of the public names.
+except by the tests of the public names.
 """
 
 import ast
 import glob
+import inspect
 import os
 
 import musprune
@@ -66,7 +68,7 @@ def test_private_attributes_are_read_only_off_self():
 
 # A change that adds or removes a settable value updates this constant
 # and says why.
-SETTABLE_VALUES = 93
+SETTABLE_VALUES = 91
 
 
 def is_dataclass(node):
@@ -113,7 +115,7 @@ PUBLIC_NAMES = (
     "generators", "init_params", "is_mus", "lcg", "lift_muses",
     "load_checkpoint", "log_prob", "make_input_features", "model", "mus",
     "none_prune", "parse_dimacs", "prune_clauses", "prune_loss", "pruning",
-    "random_prune", "recover_formula", "reinforce_step", "sample_mask",
+    "random_prune", "reinforce_step", "sample_mask",
     "sat", "save_checkpoint", "score_clauses", "score_with_pullback",
     "shrink", "threshold_prune", "train", "training",
     "truth_table_satisfiable", "variable_frequency_prune", "write_dimacs",
@@ -122,3 +124,38 @@ PUBLIC_NAMES = (
 
 def test_public_names_are_pinned():
     assert tuple(musprune.__all__) == PUBLIC_NAMES
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)),
+                         "perfbench")
+# Test oracles: kept public for tests, which the package itself never runs.
+UNREAD_PUBLIC_NAMES = {"brute_force_muses", "truth_table_satisfiable"}
+
+
+def names_read(path):
+    """Every name the file reads: a loaded ``Name``, an attribute, or a
+    name it imports."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_name_has_a_reader():
+    """A public function or class that nothing in the package (outside
+    ``__init__.py``) or the benchmark reads is surface without a caller."""
+    paths = [p for p in glob.glob(os.path.join(PACKAGE, "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += glob.glob(os.path.join(PERFBENCH, "*.py"))
+    assert len(paths) >= 14
+    read = set().union(*map(names_read, paths))
+    public = {name for name in musprune.__all__
+              if not inspect.ismodule(getattr(musprune, name))}
+    assert public - read == UNREAD_PUBLIC_NAMES

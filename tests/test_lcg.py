@@ -4,8 +4,7 @@ import scipy.sparse as sp
 
 from musprune.cnf import CnfFormula
 from musprune.generators import gen_graph_coloring, gen_sr_random
-from musprune.lcg import (LiteralClauseGraph, build_lcg, make_input_features,
-                          recover_formula)
+from musprune.lcg import build_lcg, make_input_features
 
 F1 = CnfFormula(2, [[1], [-1], [1, 2], [-2]])
 
@@ -99,36 +98,15 @@ class TestBuildLcgAgainstLoop:
             assert got.indices.tolist() == ref_indices
             assert got.data.tolist() == [1.0] * len(ref_indices)
         assert g.negation.tolist() == negation
-        assert recover_formula(g) == formula
-
-
-class TestRecoverFormula:
-    def test_round_trip_f1(self):
-        assert recover_formula(build_lcg(F1)) == F1
-
-    def test_round_trip_generated(self):
-        for i in range(15):
-            f = gen_sr_random(10, seed=i)
-            assert recover_formula(build_lcg(f)) == f
-
-    def test_round_trip_with_empty_clause(self):
-        f = CnfFormula(2, [[], [1, -2]])
-        assert recover_formula(build_lcg(f)) == f
-
-    @pytest.mark.parametrize("column", [4, 7, -1])
-    def test_column_outside_literal_rows_rejected(self, column):
-        # scipy checks no column bounds when a CSR matrix is built
-        incidence = sp.csr_matrix(([1.0, 1.0], [0, column], [0, 1, 2]),
-                                  shape=(2, 4))
-        with pytest.raises(ValueError):
-            recover_formula(LiteralClauseGraph(2, incidence))
 
 
 class TestInputFeatures:
     def test_zero_dim_gives_types_only(self):
         g = build_lcg(F1)
         x = make_input_features(g, 0, 0)
+        assert x.dtype == np.float64
         assert np.array_equal(x, g.node_type_onehot)
+        assert not np.shares_memory(x, g.node_type_onehot)
 
     def test_deterministic_given_seed(self):
         g = build_lcg(F1)

@@ -1,3 +1,6 @@
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -446,6 +449,25 @@ class TestDeadWork:
             assert built == []
 
 
+def damaged_checkpoint(directory, how):
+    """A saved checkpoint cut to half its length (``"cut"``), or with one
+    byte of a stored tensor flipped (``"flip"``)."""
+    path = directory / f"{how}.npz"
+    save_checkpoint(path, init_params(SMALL, 0))
+    data = bytearray(path.read_bytes())
+    if how == "cut":
+        del data[len(data) // 2:]
+    else:
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("tensor/head.w1.npy")
+        # The local header: 30 bytes, then the name and the extra field.
+        start = info.header_offset
+        name_len, extra_len = struct.unpack("<HH", data[start + 26:start + 30])
+        data[start + 30 + name_len + extra_len + info.compress_size - 1] ^= 1
+    path.write_bytes(bytes(data))
+    return path
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         p = init_params(SMALL, 9)
@@ -455,6 +477,29 @@ class TestCheckpoint:
         assert q.config == p.config
         for k in p.tensors:
             assert np.array_equal(q.tensors[k], p.tensors[k])
+
+    @pytest.mark.parametrize("edit", [
+        lambda tensors: tensors.pop("head.b2"),
+        lambda tensors: tensors.update({"head.b3": np.zeros(1)}),
+    ], ids=["missing", "extra"])
+    def test_tensor_names_must_match_the_config(self, tmp_path, edit):
+        p = init_params(SMALL, 0)
+        edit(p.tensors)
+        path = tmp_path / "bad.npz"
+        save_checkpoint(path, p)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (
+            f"{path}: checkpoint tensors do not match the configuration")
+
+    @pytest.mark.parametrize("how, message", [
+        ("cut", "File is not a zip file"), ("flip", "Bad CRC-32")])
+    def test_damaged_file_is_a_value_error(self, tmp_path, how, message):
+        path = damaged_checkpoint(tmp_path, how)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: not a checkpoint (")
+        assert message in str(info.value)
 
     def test_version_check(self, tmp_path):
         import json

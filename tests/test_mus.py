@@ -86,23 +86,28 @@ def k8_seven_colouring():
 
 class TestUnsatCore:
     def test_sat_subset_has_none(self):
-        core, model = SubsetSolver(F1).query({0, 2})
-        assert core is None
+        """A SAT answer is None; its model is the one witness stored."""
+        solver = SubsetSolver(F1)
+        assert solver.query({0, 2}) is None
+        [(mask, model)] = solver.witnesses
         assert 1 in model and {abs(lit) for lit in model} == {1, 2}
+        assert mask == sum(1 << j for j, clause in enumerate(F1.clauses)
+                           if model.isdisjoint(clause))
 
     def test_core_is_unsat_subset(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = random_unsat(rng)
-            core, model = SubsetSolver(f).query(range(f.num_clauses))
-            assert model is None
+            solver = SubsetSolver(f)
+            core = solver.query(range(f.num_clauses))
+            assert solver.witnesses == []
             assert core <= set(range(f.num_clauses))
             assert not truth_table_satisfiable(
                 CnfFormula(f.num_vars, [f.clauses[j] for j in sorted(core)]))
 
     def test_core_leaves_out_unused_clauses(self):
         f = CnfFormula(3, [[1], [-1], [2, 3], [-3]])
-        assert SubsetSolver(f).query(range(4)) == ({0, 1}, None)
+        assert SubsetSolver(f).query(range(4)) == {0, 1}
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_index_outside_the_formula_raises(self, index):
@@ -124,10 +129,10 @@ class TestUnsatCore:
 
 class TestShrink:
     def test_f1_full_seed(self):
-        assert shrink(F1, {0, 1, 2, 3}).sorted_indices() == [1, 2, 3]
+        assert sorted(shrink(F1, {0, 1, 2, 3}).clause_indices) == [1, 2, 3]
 
     def test_already_minimal(self):
-        assert shrink(F1, {0, 1}).sorted_indices() == [0, 1]
+        assert sorted(shrink(F1, {0, 1}).clause_indices) == [0, 1]
 
     def test_sat_seed_rejected(self):
         with pytest.raises(ValueError, match="satisfiable"):
@@ -206,7 +211,7 @@ class TestEnumerateMarco:
 
     def test_first_clauses_enumerated_first(self):
         trace = enumerate_marco(F1, 30.0, first={1, 2, 3})
-        assert [r.sorted_indices() for r in trace.muses] == [[1, 2, 3],
+        assert [sorted(r.clause_indices) for r in trace.muses] == [[1, 2, 3],
                                                              [0, 1]]
         assert trace.exhausted
 
@@ -224,7 +229,7 @@ class TestEnumerateMarco:
 
         monkeypatch.setattr(Solver, "solve", spy)
         trace = enumerate_marco(
-            F1, 30.0, sink=lambda r: events.append(r.sorted_indices()),
+            F1, 30.0, sink=lambda r: events.append(sorted(r.clause_indices)),
             first={1, 2, 3})
         assert trace.exhausted
         assert events[0] == [1, 2, 3]
@@ -249,8 +254,41 @@ class TestEnumerateMarco:
 
         monkeypatch.setattr(SubsetSolver, "query", spy)
         enumerate_marco(F1, 30.0, first={1, 2, 3},
-                        sink=lambda r: events.append(r.sorted_indices()))
+                        sink=lambda r: events.append(sorted(r.clause_indices)))
         assert events[:3] == [[1, 2, 3], [2, 3], [1, 2, 3]]
+
+    def test_deadline_passing_at_the_map_rebuild_ends_the_run(
+            self, monkeypatch):
+        """The restricted map of F1's kept set {1, 2, 3} runs out, and the
+        deadline passes while the whole map is loaded: the run returns
+        the one MUS found, unexhausted, and never solves the new map."""
+        late = [0.0]
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                return time.perf_counter() + late[0]
+
+        loaded, solved = [], []
+
+        class SpySolver(Solver):
+            def load(self, formula, guarded):
+                loaded.append(self)
+                if len(loaded) == 2:
+                    late[0] = 1e9
+                return super().load(formula, guarded)
+
+            def solve(self, assumptions=(), deadline=None):
+                solved.append(self)
+                return super().solve(assumptions, deadline)
+
+        monkeypatch.setattr(mus, "time", Clock)
+        monkeypatch.setattr(mus, "Solver", SpySolver)
+        trace = enumerate_marco(F1, 30.0, first={1, 2, 3})
+        assert [r.clause_indices for r in trace.muses] == [{1, 2, 3}]
+        assert not trace.exhausted
+        assert len(loaded) == 2
+        assert loaded[0] in solved and loaded[1] not in solved
 
     def test_sat_kept_set_falls_back_to_the_whole_formula(self):
         """A SAT kept set holds no MUS; the run asks the whole formula,

@@ -183,8 +183,8 @@ class TestCdcl:
             if i in solve_points:
                 prefix = CnfFormula(f.num_vars, f.clauses[: i + 1])
                 expected = truth_table_satisfiable(with_units(prefix, assumptions))
-                assert (session.model(assumptions) is not None) == expected
-        assert (session.model() is not None) == truth_table_satisfiable(f)
+                assert (session.solve(assumptions).model is not None) == expected
+        assert (session.solve().model is not None) == truth_table_satisfiable(f)
 
     @SETTINGS
     @given(with_assumptions(st.one_of(formulas(), three_sat())),
@@ -387,7 +387,8 @@ class TestNonDecisionSelectors:
         Every answer agrees with the truth table on the subset, every
         core is a subset of its query's clauses that is UNSAT, and every
         model sets each variable of the formula once and satisfies the
-        subset."""
+        subset. A SAT answer is None and stores exactly one witness, whose
+        model is read from there; an UNSAT answer stores none."""
         def clauses(indices):
             return CnfFormula(f.num_vars, [f.clauses[j] for j in indices])
 
@@ -396,13 +397,15 @@ class TestNonDecisionSelectors:
             st.sets(st.integers(0, f.num_clauses - 1)), min_size=1,
             max_size=10))
         for subset in subsets:
-            core, model = solver.query(subset)
+            stored = len(solver.witnesses)
+            core = solver.query(subset)
             assert (core is None) == truth_table_satisfiable(clauses(subset))
-            assert (core is None) != (model is None)
+            assert len(solver.witnesses) == stored + (core is None)
             if core is not None:
                 assert core <= subset
                 assert not truth_table_satisfiable(clauses(core))
             else:
+                model = solver.witnesses[-1][1]
                 assert {abs(lit) for lit in model} == set(
                     range(1, f.num_vars + 1))
                 assert len(model) == f.num_vars
@@ -673,9 +676,10 @@ class TestModelUse:
         real_query = solver.query
 
         def recording_query(subset, deadline=None):
-            core, model = real_query(subset, deadline)
-            answers.append(model)
-            return core, model
+            core = real_query(subset, deadline)
+            answers.append(None if core is not None
+                           else solver.witnesses[-1][1])
+            return core
 
         def recording_rotate(solver, d, model, current, critical,
                              extend=False):
@@ -727,9 +731,10 @@ class TestModelUse:
         real_query = solver.query
 
         def recording_query(subset, deadline=None):
-            core, answer = real_query(subset, deadline)
-            queries.append((set(subset), answer))
-            return core, answer
+            core = real_query(subset, deadline)
+            queries.append((set(subset), None if core is not None
+                            else solver.witnesses[-1][1]))
+            return core
 
         solver.query = recording_query
         mask = _grow_in(solver, falsified, universe, None, muses_of)

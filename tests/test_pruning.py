@@ -282,9 +282,9 @@ def test_search_builds_one_formula_and_no_oneshot_solver(name, monkeypatch):
         counts["prune_clauses"] += 1
         return build(formula, mask)
 
-    def counted_solve(self, formula, assumptions=()):
+    def counted_solve(self, formula):
         counts["solve"] += 1
-        return solve(self, formula, assumptions)
+        return solve(self, formula)
 
     monkeypatch.setattr(pruning, "prune_clauses", counted_build)
     monkeypatch.setattr(SatEngine, "solve", counted_solve)

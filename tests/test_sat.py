@@ -20,6 +20,14 @@ def random_formula(rng, n_lo=1, n_hi=16, density=4.3):
     return CnfFormula(n, clauses)
 
 
+def solve_under(formula, assumptions):
+    """One query, under ``assumptions``, of a solver that has loaded
+    ``formula``."""
+    solver = Solver()
+    solver.load(formula, False)
+    return solver.solve(assumptions)
+
+
 class TestSolveBasics:
     def test_contradiction_pair(self):
         assert SatEngine().solve(CnfFormula(1, [[1], [-1]])).status == UNSAT
@@ -90,17 +98,17 @@ class TestAgainstTruthTables:
 
 class TestAssumptions:
     def test_assumption_forces_polarity(self):
-        r = SatEngine().solve(CnfFormula(2, [[1, 2]]), assumptions=[-1])
+        r = solve_under(CnfFormula(2, [[1, 2]]), [-1])
         assert r.status == SAT
         assert r.model == {-1, 2}
 
     def test_unsat_under_assumptions(self):
-        r = SatEngine().solve(CnfFormula(2, [[1, 2]]), assumptions=[-1, -2])
+        r = solve_under(CnfFormula(2, [[1, 2]]), [-1, -2])
         assert r.status == UNSAT
 
     def test_conflicting_assumptions_rejected(self):
         with pytest.raises(ValueError, match="both ways"):
-            SatEngine().solve(CnfFormula(1, [[1]]), assumptions=[1, -1])
+            solve_under(CnfFormula(1, [[1]]), [1, -1])
 
     @pytest.mark.parametrize("assumptions, message", [
         ([1, -1, 99], "assumptions set variable 1 both ways"),
@@ -122,7 +130,7 @@ class TestAssumptions:
             n_assume = int(rng.integers(1, f.num_vars + 1))
             vs = rng.choice(f.num_vars, size=n_assume, replace=False) + 1
             assumptions = [int(v) if rng.random() < 0.5 else -int(v) for v in vs]
-            direct = SatEngine().solve(f, assumptions).status
+            direct = solve_under(f, assumptions).status
             augmented = CnfFormula(
                 f.num_vars, list(f.clauses) + [[a] for a in assumptions])
             assert direct == SatEngine().solve(augmented).status
@@ -138,27 +146,27 @@ class TestAssumptions:
 
 class TestCores:
     def test_core_names_the_failing_assumptions(self):
-        r = SatEngine().solve(CnfFormula(3, [[1, 2]]), assumptions=[3, -1, -2])
+        r = solve_under(CnfFormula(3, [[1, 2]]), [3, -1, -2])
         assert r.status == UNSAT
         assert sorted(r.core) == [-2, -1]
 
     def test_core_through_implications(self):
         # 1 -> 2 -> 3, so assuming 1 and -3 fails; 4 plays no part.
         f = CnfFormula(4, [[-1, 2], [-2, 3]])
-        r = SatEngine().solve(f, assumptions=[4, 1, -3])
+        r = solve_under(f, [4, 1, -3])
         assert r.status == UNSAT
         assert sorted(r.core) == [-3, 1]
 
     def test_assumption_false_at_root_is_the_core(self):
-        r = SatEngine().solve(CnfFormula(2, [[-1]]), assumptions=[2, 1])
+        r = solve_under(CnfFormula(2, [[-1]]), [2, 1])
         assert r.status == UNSAT
         assert r.core == [1]
 
     def test_duplicate_assumptions_accepted(self):
         f = CnfFormula(2, [[-1, 2]])
-        r = SatEngine().solve(f, assumptions=[1, 1])
+        r = solve_under(f, [1, 1])
         assert r.status == SAT and 1 in r.model and 2 in r.model
-        r = SatEngine().solve(f, assumptions=[1, 1, -2])
+        r = solve_under(f, [1, 1, -2])
         assert r.status == UNSAT and sorted(r.core) == [-2, 1]
 
     def test_reversed_assumptions_agree(self):
@@ -168,8 +176,8 @@ class TestCores:
             vs = rng.choice(f.num_vars, size=f.num_vars, replace=False) + 1
             assumptions = [int(v) if rng.random() < 0.5 else -int(v)
                            for v in vs]
-            forward = SatEngine().solve(f, assumptions)
-            backward = SatEngine().solve(f, assumptions[::-1])
+            forward = solve_under(f, assumptions)
+            backward = solve_under(f, assumptions[::-1])
             assert forward.status == backward.status
             for r in (forward, backward):
                 if r.core is not None:
@@ -178,11 +186,11 @@ class TestCores:
                         f.num_vars, list(f.clauses) + [[a] for a in r.core]))
 
     def test_root_unsat_has_no_core(self):
-        r = SatEngine().solve(CnfFormula(2, [[1], [-1]]), assumptions=[2])
+        r = solve_under(CnfFormula(2, [[1], [-1]]), [2])
         assert r.status == UNSAT and r.core is None
 
     def test_sat_and_unknown_have_no_core(self):
-        r = SatEngine().solve(CnfFormula(2, [[1, 2]]), assumptions=[1])
+        r = solve_under(CnfFormula(2, [[1, 2]]), [1])
         assert r.status == SAT and r.core is None
         solver = Solver(num_vars=30)
         for clause in pigeonhole(5):
@@ -198,7 +206,7 @@ class TestCores:
             vs = rng.choice(f.num_vars, size=f.num_vars, replace=False) + 1
             assumptions = [int(v) if rng.random() < 0.5 else -int(v)
                            for v in vs]
-            r = SatEngine().solve(f, assumptions)
+            r = solve_under(f, assumptions)
             if r.core is None:
                 continue
             seen += 1
@@ -257,8 +265,8 @@ class TestIncremental:
     def test_session_model(self):
         session = SatEngine().session(2)
         session.add_clause([1, 2])
-        assert session.model([-1]) == {-1, 2}
-        assert session.model([-1, -2]) is None
+        assert session.solve([-1]).model == {-1, 2}
+        assert session.solve([-1, -2]).model is None
 
     def test_guarded_clause_cannot_name_its_own_selector(self):
         """Literal 3 of a 2-variable solver would be the guarded clause's
@@ -272,11 +280,11 @@ class TestIncremental:
         engine = SatEngine()
         session = engine.session(3)
         session.add_clause([1, 2])
-        assert session.model() is not None
+        assert session.solve().model is not None
         session.add_clause([-1])
-        assert session.model() is not None
+        assert session.solve().model is not None
         session.add_clause([-2])
-        assert session.model() is None
+        assert session.solve().model is None
 
     def test_incremental_matches_fresh(self):
         rng = np.random.default_rng(4)
@@ -288,7 +296,7 @@ class TestIncremental:
                 session.add_clause(clause)
                 partial = CnfFormula(f.num_vars, f.clauses[: i + 1])
                 expected = truth_table_satisfiable(partial)
-                assert (session.model() is not None) == expected
+                assert (session.solve().model is not None) == expected
 
 
     def test_kept_trail_saves_decisions(self):

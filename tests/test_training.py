@@ -7,7 +7,7 @@ import pytest
 from musprune import lcg, training
 from musprune.cnf import CnfFormula, prune_clauses
 from musprune.generators import gen_sr_random
-from musprune.lcg import build_lcg, make_input_features, recover_formula
+from musprune.lcg import LiteralClauseGraph, build_lcg, make_input_features
 from musprune.model import (ModelConfig, _forward_with_pullback, forward,
                             init_params, log_prob)
 from musprune.sat import SatEngine
@@ -206,7 +206,8 @@ class TestReinforceStep:
         score = training.score_with_pullback
         monkeypatch.setattr(
             training, "score_with_pullback", lambda params, graph, seed:
-            score(params, build_lcg(recover_formula(graph)), seed))
+            score(params, LiteralClauseGraph(graph.num_vars,
+                                             graph.incidence.copy()), seed))
         fresh = step()
         for a, b in ((shared[0].tensors, fresh[0].tensors),
                      (shared[2].m, fresh[2].m), (shared[2].v, fresh[2].v)):
